@@ -157,6 +157,7 @@ blockingRow(unsigned flows)
 int
 main(int argc, char **argv)
 {
+    const auto opt = pm::benchsup::options(argc, argv);
     pm::setInformEnabled(false);
     std::printf("== Ablation: crossbar properties (Section 3) ==\n");
 
@@ -174,7 +175,7 @@ main(int argc, char **argv)
                 return pathLengths();
             return blockingRow(kFlows[pt.index - kFirstFlow]);
         },
-        pm::benchsup::options(argc, argv));
+        opt);
     if (const int rc = pm::benchsup::checkFailures(report))
         return rc;
 

@@ -24,6 +24,7 @@
 int
 main(int argc, char **argv)
 {
+    const auto opt = pm::benchsup::options(argc, argv);
     pm::setInformEnabled(false);
     using namespace pm;
 
@@ -54,7 +55,7 @@ main(int argc, char **argv)
                 fifoWords == 32 ? "   <- hardware (paper)" : "");
             return row;
         },
-        benchsup::options(argc, argv));
+        opt);
     if (const int rc = benchsup::emitRows(report))
         return rc;
 

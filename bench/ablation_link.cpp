@@ -86,6 +86,7 @@ struct Config
 int
 main(int argc, char **argv)
 {
+    const auto opt = pm::benchsup::options(argc, argv);
     pm::setInformEnabled(false);
 
     std::printf("== Ablation: link and duplicated-network bandwidth "
@@ -101,7 +102,7 @@ main(int argc, char **argv)
             return multiLinkStream(c.links, kBytes, kCount,
                                    c.bidirectional);
         },
-        benchsup::options(argc, argv));
+        opt);
     if (const int rc = benchsup::checkFailures(report))
         return rc;
 

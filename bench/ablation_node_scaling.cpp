@@ -98,6 +98,7 @@ runPoint(unsigned cpus)
 int
 main(int argc, char **argv)
 {
+    const auto opt = pm::benchsup::options(argc, argv);
     pm::setInformEnabled(false);
     using namespace pm;
 
@@ -115,7 +116,7 @@ main(int argc, char **argv)
         [](unsigned cpus, const sim::sweep::Point &) {
             return runPoint(cpus);
         },
-        benchsup::options(argc, argv));
+        opt);
     if (const int rc = benchsup::checkFailures(report))
         return rc;
 

@@ -17,11 +17,10 @@
  * soaks dominate the wall clock, so this bench is also the CI
  * speedup check for the harness).
  *
- * The BER soaks run on a two-cluster machine and honour
- * `--kernel-threads N`: the partitioned event kernel must reproduce
- * the classic kernel's sweep byte-for-byte at any N, faults and all.
- * The anchor rows stay on the single-cluster machine that defines the
- * paper numbers. Results also land in BENCH_reliability.json as a CI
+ * The BER soaks run on a two-cluster machine, so every message
+ * crosses the transceivers and the second crossbar level. The anchor
+ * rows stay on the single-cluster machine that defines the paper
+ * numbers. Results also land in BENCH_reliability.json as a CI
  * artifact.
  */
 
@@ -49,15 +48,13 @@ baseParams()
     return sp;
 }
 
-/** The BER soak machine: two clusters, so the partitioned kernel has
- *  real boundaries to cross and `--kernel-threads` means something. */
+/** The BER soak machine: two clusters of two nodes. */
 msg::SystemParams
-soakParams(unsigned kernelThreads)
+soakParams()
 {
     msg::SystemParams sp;
     sp.node = machines::powerManna();
     sp.fabric = machines::powerMannaFabric(2, 2);
-    sp.kernelThreads = kernelThreads;
     return sp;
 }
 
@@ -91,7 +88,7 @@ constexpr std::size_t kAnchorWatchdog = 1;
 constexpr std::size_t kFirstBer = 2;
 
 PointResult
-runPoint(std::size_t index, unsigned kernelThreads)
+runPoint(std::size_t index)
 {
     PointResult res;
     if (index == kAnchorPlain || index == kAnchorWatchdog) {
@@ -108,7 +105,7 @@ runPoint(std::size_t index, unsigned kernelThreads)
     const double ber = kBers[index - kFirstBer];
     sim::FaultModel fault(2024);
     fault.defaults.ber = ber;
-    msg::SystemParams sp = soakParams(kernelThreads);
+    msg::SystemParams sp = soakParams();
     if (fault.anyConfigured())
         sp.fabric.fault = &fault;
     msg::System sys(sp);
@@ -132,16 +129,13 @@ runPoint(std::size_t index, unsigned kernelThreads)
 int
 main(int argc, char **argv)
 {
+    const auto opt = pm::benchsup::options(argc, argv);
     pm::setInformEnabled(false);
-    const unsigned kernelThreads =
-        benchsup::kernelThreadsFromArgv(argc, argv);
 
     const auto report = sim::sweep::run(
         kFirstBer + kBers.size(),
-        [kernelThreads](const sim::sweep::Point &pt) {
-            return runPoint(pt.index, kernelThreads);
-        },
-        benchsup::options(argc, argv));
+        [](const sim::sweep::Point &pt) { return runPoint(pt.index); },
+        opt);
     if (const int rc = benchsup::checkFailures(report))
         return rc;
 
@@ -196,9 +190,8 @@ main(int argc, char **argv)
                  "    \"fig9_latency_us\": %.3f,\n"
                  "    \"fig11_unidir_mbps\": %.1f\n"
                  "  },\n"
-                 "  \"kernel_threads\": %u,\n"
                  "  \"ber_sweep\": [\n",
-                 plain.lat, plain.bw, kernelThreads);
+                 plain.lat, plain.bw);
     for (std::size_t i = 0; i < kBers.size(); ++i) {
         const PointResult &r = report.results[kFirstBer + i];
         std::fprintf(json,

@@ -27,6 +27,7 @@
 int
 main(int argc, char **argv)
 {
+    const auto opt = pm::benchsup::options(argc, argv);
     pm::setInformEnabled(false);
     using namespace pm;
 
@@ -53,6 +54,6 @@ main(int argc, char **argv)
                               pmUs, bip.gapUs(bytes), fm.gapUs(bytes));
             return row;
         },
-        benchsup::options(argc, argv));
+        opt);
     return benchsup::emitRows(report);
 }

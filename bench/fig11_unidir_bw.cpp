@@ -10,9 +10,6 @@
  *
  * Each message size is one pm::sim::sweep point with a System of its
  * own; `--jobs N` runs the points on N threads, byte-identically.
- * `--kernel-threads N` builds each point's System on the partitioned
- * event kernel — single-cluster, so one partition: the CI TSan job
- * uses this to prove the figure is kernel-invariant.
  */
 
 #include <cstdio>
@@ -29,25 +26,23 @@
 int
 main(int argc, char **argv)
 {
+    const auto opt = pm::benchsup::options(argc, argv);
     pm::setInformEnabled(false);
     using namespace pm;
 
     const std::vector<unsigned> sizes{16u,    64u,    256u,   1024u,
                                       4096u, 16384u, 65536u, 262144u};
-    const unsigned kernelThreads =
-        benchsup::kernelThreadsFromArgv(argc, argv);
 
     std::printf("== Figure 11: unidirectional bandwidth (MB/s) ==\n");
     std::printf("%8s %12s %12s %12s\n", "bytes", "powermanna", "bip",
                 "fm");
     const auto report = sim::sweep::map(
         sizes,
-        [kernelThreads](unsigned bytes, const sim::sweep::Point &) {
+        [](unsigned bytes, const sim::sweep::Point &) {
             msg::SystemParams sp;
             sp.node = machines::powerManna();
             sp.fabric.clusters = 1;
             sp.fabric.nodesPerCluster = 8;
-            sp.kernelThreads = kernelThreads;
             msg::System sys(sp);
             const auto bip = baseline::UserLevelCommModel::bip();
             const auto fm = baseline::UserLevelCommModel::fm();
@@ -60,7 +55,7 @@ main(int argc, char **argv)
                               fm.unidirectionalMBps(bytes));
             return row;
         },
-        benchsup::options(argc, argv));
+        opt);
     if (const int rc = benchsup::emitRows(report))
         return rc;
 

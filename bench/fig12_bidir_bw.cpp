@@ -59,6 +59,7 @@ struct PointResult
 int
 main(int argc, char **argv)
 {
+    const auto opt = pm::benchsup::options(argc, argv);
     pm::setInformEnabled(false);
 
     std::vector<PointSpec> points;
@@ -96,7 +97,7 @@ main(int argc, char **argv)
             }
             return res;
         },
-        benchsup::options(argc, argv));
+        opt);
     if (const int rc = benchsup::checkFailures(report))
         return rc;
     for (std::size_t i = 0; i < kDiagUni; ++i)

@@ -43,6 +43,7 @@ figParams()
 int
 main(int argc, char **argv)
 {
+    const auto opt = pm::benchsup::options(argc, argv);
     pm::setInformEnabled(false);
 
     const std::vector<unsigned> sizes{4u,   8u,   16u,  32u,   64u,  128u,
@@ -66,7 +67,7 @@ main(int argc, char **argv)
                               fm.oneWayLatencyUs(bytes));
             return row;
         },
-        benchsup::options(argc, argv));
+        opt);
     if (const int rc = benchsup::emitRows(report))
         return rc;
 

@@ -17,7 +17,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "sim/parse.hh"
@@ -25,74 +24,45 @@
 
 namespace pm::benchsup {
 
-/**
- * Parse `--jobs N` / `--jobs=N` from a bench's argv (default 1).
- * Strict: `--jobs garbage` used to strtoul to 0 — which means "one
- * worker per hardware thread" — silently turning a typo into a
- * different execution. Non-numeric or trailing-junk values are a
- * usage error (exit 2).
- */
-inline unsigned
-jobsFromArgv(int argc, char **argv)
+/** Report a bad bench argument with the usage line and exit 2. */
+[[noreturn]] inline void
+usageError(const char *prog, const std::string &why)
 {
-    const auto parse = [](const char *v) -> unsigned {
-        unsigned jobs = 0;
-        if (!sim::parse::u32(v, jobs)) {
-            std::fprintf(stderr,
-                         "--jobs expects an unsigned number, got '%s'\n",
-                         v);
-            // pmlint: abort-ok(usage error before any simulation exists)
-            std::exit(2);
-        }
-        return jobs;
-    };
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            return parse(argv[i + 1]);
-        if (std::strncmp(argv[i], "--jobs=", 7) == 0)
-            return parse(argv[i] + 7);
-    }
-    return 1;
+    std::fprintf(stderr, "%s: %s\nusage: %s [--jobs N]\n", prog,
+                 why.c_str(), prog);
+    // pmlint: abort-ok(usage error before any simulation exists)
+    std::exit(2);
 }
 
 /**
- * Parse `--kernel-threads N` / `--kernel-threads=N` from a bench's
- * argv (default 0 = classic kernel), with the same strictness as
- * jobsFromArgv. Benches pass the value into
- * msg::SystemParams::kernelThreads.
+ * Harness options for a bench: quiet workers and `--jobs N` /
+ * `--jobs=N` from argv (default 1). Strict: any other argument, a
+ * missing value, or a value that is not an unsigned number is a usage
+ * error (exit 2), so a typo or a stale flag never silently runs the
+ * default bench.
  */
-inline unsigned
-kernelThreadsFromArgv(int argc, char **argv)
-{
-    const auto parse = [](const char *v) -> unsigned {
-        unsigned threads = 0;
-        if (!sim::parse::u32(v, threads) || threads == 0) {
-            std::fprintf(stderr,
-                         "--kernel-threads expects a thread count >= 1, "
-                         "got '%s'\n",
-                         v);
-            // pmlint: abort-ok(usage error before any simulation exists)
-            std::exit(2);
-        }
-        return threads;
-    };
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--kernel-threads") == 0 && i + 1 < argc)
-            return parse(argv[i + 1]);
-        if (std::strncmp(argv[i], "--kernel-threads=", 17) == 0)
-            return parse(argv[i] + 17);
-    }
-    return 0;
-}
-
-/** Harness options for a bench: --jobs from argv, quiet workers. */
 inline sim::sweep::Options
 options(int argc, char **argv, std::uint64_t seed = 0)
 {
     sim::sweep::Options opt;
-    opt.jobs = jobsFromArgv(argc, argv);
+    opt.jobs = 1;
     opt.seed = seed;
     opt.inform = false;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        std::string value;
+        if (arg == "--jobs" && i + 1 < argc)
+            value = argv[++i];
+        else if (arg.rfind("--jobs=", 0) == 0)
+            value = arg.substr(7);
+        else if (arg == "--jobs")
+            usageError(argv[0], "--jobs expects a value");
+        else
+            usageError(argv[0], "unknown argument '" + arg + "'");
+        if (!sim::parse::u32(value.c_str(), opt.jobs))
+            usageError(argv[0], "--jobs expects an unsigned number, "
+                                "got '" + value + "'");
+    }
     return opt;
 }
 

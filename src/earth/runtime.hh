@@ -155,11 +155,10 @@ class NodeRt
 
     /**
      * A delivery failure recorded by this node's transport callback.
-     * The callback runs inside a driver event — on the node's home
-     * partition when the kernel is partitioned — so it only appends
-     * here; Runtime::drainDeathReports() (driving thread, between
-     * windows) sorts all nodes' reports and applies the machine-wide
-     * consequences deterministically.
+     * The callback runs inside a driver event, so it only appends
+     * here; Runtime::drainDeathReports() (between events) sorts all
+     * nodes' reports and applies the machine-wide consequences
+     * deterministically.
      */
     struct DeathReport
     {
@@ -180,9 +179,9 @@ class NodeRt
     std::uint32_t _nextGet = 1;
     sim::EventHandle _euEvent; //!< Live while an EU step is queued.
 
-    // Node-local token accounting: only this node's callbacks (home
-    // partition) write these mid-window; the Runtime folds them into
-    // machine-wide quiescence/health sums on the driving thread.
+    // Node-local token accounting: only this node's callbacks write
+    // these; the Runtime folds them into machine-wide quiescence/health
+    // sums between events.
     std::uint64_t _tokensSent = 0;
     std::uint64_t _tokensHandled = 0;
     std::uint64_t _tokensWrittenOff = 0;
@@ -299,9 +298,8 @@ class Runtime : public sim::health::Reporter
      * Apply all nodes' queued delivery-failure reports, sorted by
      * (tick, node, seq): warn, mark the peer dead machine-wide, write
      * off the abandoned tokens, drop GETs awaiting the dead peer, and
-     * fire the user callback. Driving thread only, so the user
-     * callback and the pm_warn order are deterministic at any kernel
-     * thread count.
+     * fire the user callback. Runs between events, so the user
+     * callback and the pm_warn order are deterministic.
      */
     void drainDeathReports();
 };

@@ -11,27 +11,6 @@ Fabric::Fabric(const FabricParams &params, sim::EventQueue &queue)
     build();
 }
 
-Fabric::Fabric(const FabricParams &params, sim::Partitioned &kernel)
-    : _p(params),
-      _queue(kernel.queue(0)),
-      _kernel(kernel.partitions() > 1 ? &kernel : nullptr)
-{
-    if (_kernel != nullptr && kernel.partitions() != domainsFor(params))
-        pm_fatal("fabric: kernel has %u partitions, topology needs %u",
-                 kernel.partitions(), domainsFor(params));
-    if (_kernel != nullptr) {
-        // The earliest cross-partition effect of a symbol sent at
-        // tick t over a boundary (always a transceiver output link)
-        // is its arrival at t + wire time of the shortest symbol +
-        // link latency + cable latency.
-        _lookahead = _p.xcvr.link.txTime(1) + _p.xcvr.link.latency +
-                     _p.xcvr.cableLatency;
-    }
-    build();
-    if (_kernel != nullptr)
-        _kernel->setLookahead(_lookahead);
-}
-
 void
 Fabric::build()
 {
@@ -52,18 +31,6 @@ Fabric::build()
         buildNetwork(n);
 }
 
-sim::EventQueue &
-Fabric::clusterQueue(unsigned c)
-{
-    return _kernel != nullptr ? _kernel->queue(c) : _queue;
-}
-
-sim::EventQueue &
-Fabric::hubQueue()
-{
-    return _kernel != nullptr ? _kernel->queue(_p.clusters) : _queue;
-}
-
 void
 Fabric::buildNetwork(unsigned n)
 {
@@ -75,16 +42,14 @@ Fabric::buildNetwork(unsigned n)
         net::CrossbarParams xp = _p.xbar;
         xp.name = "xbar.c" + std::to_string(c) + tag;
         xp.link.fault = _p.fault;
-        net.clusterXbars.push_back(
-            std::make_unique<net::Crossbar>(xp, clusterQueue(c)));
+        net.clusterXbars.push_back(std::make_unique<net::Crossbar>(xp, _queue));
     }
     for (unsigned node = 0; node < numNodes(); ++node) {
         ni::LinkIfParams np = _p.ni;
         np.name = "ni.n" + std::to_string(node) + tag;
         np.link = _p.nodeLink;
         np.link.fault = _p.fault;
-        net.nis.push_back(std::make_unique<ni::LinkInterface>(
-            np, clusterQueue(clusterOf(node))));
+        net.nis.push_back(std::make_unique<ni::LinkInterface>(np, _queue));
 
         net::Crossbar &xb = *net.clusterXbars[clusterOf(node)];
         const unsigned local = localIndex(node);
@@ -100,7 +65,7 @@ Fabric::buildNetwork(unsigned n)
         net::CrossbarParams xp = _p.xbar;
         xp.name = "xbar.l2u" + std::to_string(u) + tag;
         xp.link.fault = _p.fault;
-        net.l2Xbars.push_back(std::make_unique<net::Crossbar>(xp, hubQueue()));
+        net.l2Xbars.push_back(std::make_unique<net::Crossbar>(xp, _queue));
     }
     for (unsigned c = 0; c < _p.clusters; ++c) {
         net::Crossbar &cx = *net.clusterXbars[c];
@@ -112,39 +77,19 @@ Fabric::buildNetwork(unsigned n)
             tp.link.fault = _p.fault;
             tp.name = "xcvr.up.c" + std::to_string(c) + ".u" +
                       std::to_string(u) + tag;
-            net.xcvrs.push_back(
-                std::make_unique<net::Transceiver>(tp, clusterQueue(c)));
+            net.xcvrs.push_back(std::make_unique<net::Transceiver>(tp, _queue));
             net::Transceiver &up = *net.xcvrs.back();
             cx.connectOutput(upPort, up.inputPort());
-            connectBoundary(net, up, tp.name, c, _p.clusters,
-                            l2.inputPort(c));
+            up.connectOutput(l2.inputPort(c));
 
             tp.name = "xcvr.down.c" + std::to_string(c) + ".u" +
                       std::to_string(u) + tag;
-            net.xcvrs.push_back(
-                std::make_unique<net::Transceiver>(tp, hubQueue()));
+            net.xcvrs.push_back(std::make_unique<net::Transceiver>(tp, _queue));
             net::Transceiver &down = *net.xcvrs.back();
             l2.connectOutput(c, down.inputPort());
-            connectBoundary(net, down, tp.name, _p.clusters, c,
-                            cx.inputPort(upPort));
+            down.connectOutput(cx.inputPort(upPort));
         }
     }
-}
-
-void
-Fabric::connectBoundary(Network &net, net::Transceiver &xcvr,
-                        const std::string &name, unsigned srcPartition,
-                        unsigned dstPartition, net::SymbolSink *remote)
-{
-    if (_kernel == nullptr) {
-        xcvr.connectOutput(remote);
-        return;
-    }
-    net.bridges.push_back(std::make_unique<net::PartitionBridge>(
-        name + ".bridge", *_kernel, srcPartition, dstPartition, remote));
-    net::PartitionBridge &bridge = *net.bridges.back();
-    xcvr.connectOutput(&bridge);
-    xcvr.outputLink()->setCourier(&bridge);
 }
 
 ni::LinkInterface &
@@ -230,9 +175,6 @@ Fabric::wireQuiet() const
         for (const auto &xcvr : net.xcvrs)
             if (!xcvr->wireQuiet())
                 return false;
-        for (const auto &bridge : net.bridges)
-            if (!bridge->quiet())
-                return false;
     }
     return true;
 }
@@ -249,10 +191,6 @@ Fabric::reset()
             xbar->reset();
         for (auto &xcvr : net.xcvrs)
             xcvr->reset();
-        // Last: bridge credit re-snapshots the (just cleared) remote
-        // FIFOs.
-        for (auto &bridge : net.bridges)
-            bridge->reset();
     }
 }
 

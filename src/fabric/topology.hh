@@ -21,12 +21,10 @@
 #include <string>
 #include <vector>
 
-#include "net/bridge.hh"
 #include "net/crossbar.hh"
 #include "net/transceiver.hh"
 #include "ni/linkinterface.hh"
 #include "sim/event.hh"
-#include "sim/partition.hh"
 
 namespace pm::fabric {
 
@@ -59,36 +57,8 @@ class Fabric
   public:
     Fabric(const FabricParams &params, sim::EventQueue &queue);
 
-    /**
-     * Build the fabric over a partitioned kernel: cluster c's
-     * components (its NIs, cluster crossbars, and uplink transceivers)
-     * live in partition c, and the whole second crossbar level (L2
-     * crossbars plus the down transceivers) in the hub partition
-     * `clusters`. The two transceiver link directions crossing each
-     * boundary are fronted by PartitionBridges, and the kernel's
-     * lookahead is set to the minimum boundary delay (1-byte wire time
-     * + link latency + cable latency). A single-cluster fabric — which
-     * needs only one partition — degenerates to the classic build on
-     * queue(0).
-     */
-    Fabric(const FabricParams &params, sim::Partitioned &kernel);
-
     Fabric(const Fabric &) = delete;
     Fabric &operator=(const Fabric &) = delete;
-
-    /**
-     * Partitions a kernel must have for this topology: one per
-     * cluster plus the hub, or a single domain when one cluster
-     * (no boundary exists, so no lookahead would be available).
-     */
-    static unsigned
-    domainsFor(const FabricParams &params)
-    {
-        return params.clusters > 1 ? params.clusters + 1 : 1;
-    }
-
-    /** Cross-partition lookahead of a partitioned build; 0 = classic. */
-    Tick lookahead() const { return _lookahead; }
 
     const FabricParams &params() const { return _p; }
     unsigned numNodes() const { return _p.clusters * _p.nodesPerCluster; }
@@ -153,32 +123,15 @@ class Fabric
         std::vector<std::unique_ptr<net::Crossbar>> clusterXbars;
         std::vector<std::unique_ptr<net::Crossbar>> l2Xbars;
         std::vector<std::unique_ptr<net::Transceiver>> xcvrs;
-        std::vector<std::unique_ptr<net::PartitionBridge>> bridges;
         std::vector<std::unique_ptr<ni::LinkInterface>> nis; // per node
     };
 
     FabricParams _p;
     sim::EventQueue &_queue;
-    sim::Partitioned *_kernel = nullptr; //!< Partitioned build only.
-    Tick _lookahead = 0;
     std::vector<Network> _nets;
-
-    /** Queue cluster `c`'s components run on. */
-    sim::EventQueue &clusterQueue(unsigned c);
-
-    /** Queue the second crossbar level runs on. */
-    sim::EventQueue &hubQueue();
 
     void build();
     void buildNetwork(unsigned n);
-
-    /**
-     * Connect a transceiver's output to `remote` — directly, or via a
-     * PartitionBridge when the two ends live in different partitions.
-     */
-    void connectBoundary(Network &net, net::Transceiver &xcvr,
-                         const std::string &name, unsigned srcPartition,
-                         unsigned dstPartition, net::SymbolSink *remote);
 };
 
 } // namespace pm::fabric

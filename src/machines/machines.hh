@@ -59,8 +59,7 @@ std::vector<node::NodeParams> allNodeConfigs();
  * The PowerMANNA fabric at a given size: `clusters` Figure-5a
  * backplanes of `nodesPerCluster` nodes each, joined through the
  * second crossbar level when clusters > 1 (Section 2's parameters are
- * the FabricParams defaults). This is the shape the partitioned event
- * kernel domains map onto — see fabric::Fabric::domainsFor.
+ * the FabricParams defaults).
  */
 fabric::FabricParams powerMannaFabric(unsigned clusters,
                                    unsigned nodesPerCluster);

@@ -33,7 +33,7 @@ Communicator::runUntil(const std::function<bool()> &done)
     // owning System's context so a stall's panic carries *its* tick
     // and forensics, not a bystander simulation's.
     sim::Context::Scope scope(_sys.context());
-    while (!done() && _sys.pump() != 0) {
+    while (!done() && _sys.queue().step()) {
     }
     if (!done())
         pm_panic("collective stalled: event queue drained before "
@@ -50,20 +50,17 @@ Communicator::drain()
                 return false;
         return _sys.fabric().wireQuiet();
     };
-    // Pump to full exhaustion, not first quiescence: the classic
-    // kernel stops on the exact event that quiets the machine, while
-    // the partitioned kernel finishes its window — stopping early
-    // would leave the two with different residual timers and a
-    // different simNow(), skewing the next op's start. A watchdog
-    // scan reschedules itself forever, so with one enabled the
-    // machine can never exhaust; stop at quiescence there.
+    // Run to full exhaustion, not first quiescence: the residual
+    // timers past the quiet point advance queue().now(), and the next
+    // op starts from there. A watchdog scan reschedules itself
+    // forever, so with one enabled the machine can never exhaust;
+    // stop at quiescence there.
     if (_sys.health().watchdogEnabled()) {
-        while (!quiet() && _sys.pump() != 0) {
+        while (!quiet() && _sys.queue().step()) {
         }
     } else {
-        while (_sys.pump() != 0) {
+        while (_sys.queue().step()) {
         }
-        _sys.kernel().alignClocks();
     }
     if (!quiet())
         pm_panic("collective drain stalled: endpoints or wires still "
@@ -75,14 +72,12 @@ namespace {
 
 /**
  * Start time for an operation: the latest participant clock. Called
- * only on a drained machine (construction or post-drain), where
- * simNow() — the globally last executed tick — is identical for the
- * classic and partitioned kernels at any thread count.
+ * only on a drained machine (construction or post-drain).
  */
 Tick
 opStart(System &sys, std::vector<std::unique_ptr<PmComm>> &comms)
 {
-    Tick t = sys.simNow();
+    Tick t = sys.queue().now();
     for (auto &c : comms)
         t = std::max(t, c->proc().time());
     return t;
@@ -90,9 +85,7 @@ opStart(System &sys, std::vector<std::unique_ptr<PmComm>> &comms)
 
 /**
  * A rank's completion stamp, taken *inside* its completing callback:
- * the rank's own queue tick (the executing event's time, which is
- * kernel-invariant) joined with its processor clock. Never read
- * another partition's clock here.
+ * the executing event's tick joined with the rank's processor clock.
  */
 Tick
 finishStamp(PmComm &comm)
@@ -110,9 +103,8 @@ Communicator::barrier()
     const Tick start = opStart(_sys, _comms);
 
     // Per-rank state only: rank r's entry is touched exclusively by
-    // rank r's own send/recv callbacks, which all execute in node r's
-    // home partition. Completion is judged by the driving thread
-    // scanning the finished flags between windows.
+    // rank r's own send/recv callbacks. Completion is judged by the
+    // driving thread scanning the finished flags between events.
     struct RankState
     {
         unsigned round = 0; //!< Next round to start.
@@ -271,9 +263,8 @@ Communicator::reduceSum(
     const Tick start = opStart(_sys, _comms);
 
     // Indexed by *virtual* rank; entry v is touched only by real rank
-    // real(v)'s callbacks (one partition). The root's result is copied
-    // out on the driving thread after the run, never written from a
-    // callback.
+    // real(v)'s callbacks. The root's result is copied out on the
+    // driving thread after the run, never written from a callback.
     struct RankState
     {
         std::vector<std::uint64_t> acc;

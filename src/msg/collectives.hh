@@ -87,20 +87,15 @@ class Communicator
     unsigned rounds() const;
 
     /**
-     * Advance the machine (classic step or partitioned window) until
-     * `done()` turns true; panics on stall. The predicate runs on the
-     * driving thread between pump() calls, where reading every rank's
-     * state is safe — mid-window, each rank's callbacks touch only
-     * that rank's entry, which lives in its node's home partition.
+     * Step the machine's event queue until `done()` turns true;
+     * panics on stall. The predicate runs between events.
      */
     void runUntil(const std::function<bool()> &done);
 
     /**
      * Drain trailing ACK handshakes and wires after an operation and
      * audit conservation, so the next operation starts from a fully
-     * quiescent machine — that is what makes its start time (and so
-     * every reported duration) independent of the kernel's thread
-     * count.
+     * quiescent machine.
      */
     void drain();
 };

@@ -66,7 +66,7 @@ seqDiff(std::uint16_t a, std::uint16_t b)
 PmComm::PmComm(System &sys, unsigned nodeId, unsigned cpu, unsigned net,
                DriverCosts costs)
     : _sys(sys),
-      _queue(sys.queueFor(nodeId)),
+      _queue(sys.queue()),
       _nodeId(nodeId),
       _net(net),
       _costs(costs),

@@ -134,16 +134,15 @@ class PmComm : public Resettable, public sim::health::Reporter
     cpu::Proc &proc() { return _proc; }
 
     /**
-     * This endpoint's event queue — the machine's only queue in a
-     * classic build, the node's cluster queue in a partitioned one.
-     * All driver events (engine, timers) run here.
+     * This endpoint's event queue — the machine's queue. All driver
+     * events (engine, timers) run here.
      */
     sim::EventQueue &queue() { return _queue; }
 
     /**
      * Current tick on this endpoint's queue. Probes read measurement
      * start/end times through this — *inside* completion callbacks,
-     * where it equals the event's tick on any kernel.
+     * where it equals the event's tick.
      */
     [[nodiscard]] Tick now() const { return _queue.now(); }
 
@@ -306,7 +305,7 @@ class PmComm : public Resettable, public sim::health::Reporter
     };
 
     System &_sys;
-    sim::EventQueue &_queue; //!< queueFor(_nodeId); all events go here.
+    sim::EventQueue &_queue; //!< The System's queue; all events go here.
     unsigned _nodeId;
     unsigned _net;
     DriverCosts _costs;

@@ -38,7 +38,7 @@ drainToIdle(System &sys, PmComm &x, PmComm &y)
 {
     while ((!x.quiescent() || !y.quiescent() ||
             !sys.fabric().wireQuiet()) &&
-           sys.pump() != 0) {
+           sys.queue().step()) {
     }
     sys.auditQuiescent("probe drain");
 }
@@ -56,9 +56,8 @@ measureOneWayLatencyUs(System &sys, unsigned a, unsigned b,
     const auto payload = makePayload(bytes, /*seed=*/bytes + 1);
 
     // One warmup round trip, then `iters` timed ones. Timestamps are
-    // read *inside* A's completion callbacks (each endpoint's state is
-    // written only from its own queue's events — single-writer on any
-    // kernel), and A's clock alone defines the measured interval.
+    // read *inside* A's completion callbacks, so A's clock alone
+    // defines the measured interval.
     unsigned remaining = iters + 1;
     Tick started = 0;
     Tick finished = 0;
@@ -90,7 +89,7 @@ measureOneWayLatencyUs(System &sys, unsigned a, unsigned b,
 
     armB();
     fireA();
-    while (remaining > 0 && sys.pump() != 0) {
+    while (remaining > 0 && sys.queue().step()) {
     }
     if (failedA || failedB || remaining != 0)
         pm_panic("ping-pong corrupted a payload or stalled (%u left)",
@@ -114,10 +113,9 @@ streamOneWay(System &sys, unsigned a, unsigned b, std::uint64_t bytes,
     PmComm commB(sys, b);
     const auto payload = makePayload(bytes, bytes + 17);
 
-    // Start on the machine clock (all queues equal after the reset);
-    // finish on the receiver's clock, read inside its last completion
-    // callback — the tick the classic step loop would stop at.
-    const Tick started = sys.simNow();
+    // Start on the machine clock; finish on the receiver's clock, read
+    // inside its last completion callback.
+    const Tick started = sys.queue().now();
     Tick finished = started;
     unsigned received = 0;
     bool failed = false;
@@ -130,7 +128,7 @@ streamOneWay(System &sys, unsigned a, unsigned b, std::uint64_t bytes,
                 finished = commB.now();
         });
     }
-    while (received < count && sys.pump() != 0) {
+    while (received < count && sys.queue().step()) {
     }
     if (failed || received != count)
         pm_panic("one-way stream lost or corrupted messages (%u/%u)",
@@ -170,10 +168,9 @@ measureBidirectionalMBps(System &sys, unsigned a, unsigned b,
     const auto payloadA = makePayload(bytes, bytes + 29);
     const auto payloadB = makePayload(bytes, bytes + 31);
 
-    // Per-endpoint counters and finish ticks: each is written only
-    // from its own queue's events, and the later finisher defines the
-    // interval — exactly the tick the classic step loop stopped at.
-    const Tick started = sys.simNow();
+    // Per-endpoint counters and finish ticks; the later finisher
+    // defines the interval.
+    const Tick started = sys.queue().now();
     Tick finishedA = started;
     Tick finishedB = started;
     unsigned receivedA = 0;
@@ -196,7 +193,7 @@ measureBidirectionalMBps(System &sys, unsigned a, unsigned b,
                 finishedB = commB.now();
         });
     }
-    while (receivedA + receivedB < 2 * count && sys.pump() != 0) {
+    while (receivedA + receivedB < 2 * count && sys.queue().step()) {
     }
     if (failedA || failedB || receivedA + receivedB != 2 * count)
         pm_panic("bidirectional stream lost or corrupted messages "
@@ -267,12 +264,12 @@ runDeliverySoak(System &sys, unsigned a, unsigned b,
         });
     };
 
-    const Tick started = sys.simNow();
+    const Tick started = sys.queue().now();
     armRecv();
     for (unsigned i = 0; i < window && i < count; ++i)
         postNext();
     while (res.delivered < count && !res.senderDead &&
-           !res.receiverDead && sys.pump() != 0) {
+           !res.receiverDead && sys.queue().step()) {
     }
     if (!res.senderDead && !res.receiverDead) {
         // Let in-flight ACKs and timers drain so both endpoints go
@@ -283,23 +280,20 @@ runDeliverySoak(System &sys, unsigned a, unsigned b,
         // quiet-machine audit) and report what happened instead.
         while ((!commA.idle() || !commB.idle() ||
                 !sys.fabric().wireQuiet()) &&
-               sys.pump() != 0) {
+               sys.queue().step()) {
         }
         if (!sys.health().watchdogEnabled()) {
             // Finish the already-scheduled stragglers too (delayed
-            // ACK timers past the idle point), so the elapsed stamp
-            // below is identical on the classic and the partitioned
-            // kernels — stopping at first idleness leaves each kernel
-            // a different set of residual timers. A watchdog scan
+            // ACK timers past the idle point): the elapsed stamp
+            // below runs to the last of them. A watchdog scan
             // reschedules itself forever, so with one enabled the
             // machine can never exhaust; stop at idle there.
-            while (sys.pump() != 0) {
+            while (sys.queue().step()) {
             }
-            sys.kernel().alignClocks();
         }
         sys.auditQuiescent("soak drain");
     }
-    res.elapsedUs = ticksToUs(sys.simNow() - started);
+    res.elapsedUs = ticksToUs(sys.queue().now() - started);
     if (res.delivered != count)
         res.intact = false;
 

@@ -7,41 +7,14 @@ namespace pm::msg {
 
 System::System(const SystemParams &params)
     : _p(params),
-      _kernel(params.kernelThreads != 0
-                  ? fabric::Fabric::domainsFor(params.fabric)
-                  : 1,
-              params.kernelThreads != 0 ? params.kernelThreads : 1),
-      _health(_kernel.queue(0), _ctx)
+      _health(_queue, _ctx)
 {
     // Quiet machines build quiet: the inform() gate carries over from
     // whatever context the constructing code runs under (a bench that
     // silenced inform, a sweep worker's options).
     _ctx.setInformEnabled(sim::Context::current().informEnabled());
     sim::Context::Scope scope(_ctx);
-    _kernel.setContext(&_ctx);
-    // The health monitor's event census must cover every partition's
-    // queue, not just the driving one.
-    for (unsigned p = 1; p < _kernel.partitions(); ++p)
-        _health.addQueue(&_kernel.queue(p));
-    if (partitioned() && _p.fabric.fault != nullptr) {
-        // Concurrent partitions must never write the shared fault
-        // Scalars mid-window: defer into per-site accumulators (each
-        // LinkTx, and so each site, lives in exactly one partition)
-        // and fold them in at every window barrier.
-        _p.fabric.fault->setDeferred(true);
-        _faultMerge =
-            std::make_unique<FaultMergeHook>(*_p.fabric.fault);
-        _kernel.addBarrierHook(_faultMerge.get());
-    }
-    if (partitioned()) {
-        // Watchdog scans move from a scan event to the window
-        // barrier: reporters span every partition, so the walk is
-        // only race-free with all lanes quiescent (DESIGN.md §13).
-        _health.setBarrierDriven(true);
-        _watchdogScan = std::make_unique<WatchdogScanHook>(_health);
-        _kernel.addBarrierHook(_watchdogScan.get());
-    }
-    _fabric = std::make_unique<fabric::Fabric>(_p.fabric, _kernel);
+    _fabric = std::make_unique<fabric::Fabric>(_p.fabric, _queue);
     _fabric->registerHealth(_health);
     for (unsigned i = 0; i < _fabric->numNodes(); ++i) {
         node::NodeParams np = _p.node;
@@ -54,18 +27,11 @@ void
 System::resetForRun()
 {
     sim::Context::Scope scope(_ctx);
-    // At a full drain, line the partition clocks up first: component
-    // resets stamp their watchdog baselines with their own queue's
-    // now(), and the stamps must match the classic kernel's single
-    // clock byte-for-byte. Mid-flight resets skip this (the machine
-    // state is kernel-specific there anyway).
-    if (_kernel.empty())
-        _kernel.alignClocks();
     _fabric->reset();
     for (auto &n : _nodes) {
         n->reset();
         for (unsigned c = 0; c < n->numCpus(); ++c)
-            n->proc(c).advanceTo(simNow());
+            n->proc(c).advanceTo(_queue.now());
     }
     for (Resettable *r : _resettables)
         r->resetForRun();
@@ -91,17 +57,8 @@ System::sumNiWords(double &sent, double &received)
 }
 
 void
-System::FaultMergeHook::atBarrier(Tick wakeTick)
-{
-    (void)wakeTick;
-    _model.mergeSites();
-}
-
-void
 System::snapshotAuditBaselines()
 {
-    if (_p.fabric.fault != nullptr && _p.fabric.fault->deferred())
-        _p.fabric.fault->mergeSites();
     sumNiWords(_auditBaseSent, _auditBaseReceived);
     _auditBaseDropped =
         _p.fabric.fault ? _p.fabric.fault->wordsDropped.value() : 0.0;
@@ -113,8 +70,6 @@ System::auditQuiescent(const char *where)
     if (!_health.auditsEnabled())
         return;
     sim::Context::Scope scope(_ctx);
-    if (_p.fabric.fault != nullptr && _p.fabric.fault->deferred())
-        _p.fabric.fault->mergeSites();
     double sent = 0.0;
     double received = 0.0;
     sumNiWords(sent, received);

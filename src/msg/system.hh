@@ -16,7 +16,6 @@
 #include "sim/context.hh"
 #include "sim/event.hh"
 #include "sim/health.hh"
-#include "sim/partition.hh"
 
 namespace pm::msg {
 
@@ -25,23 +24,6 @@ struct SystemParams
 {
     node::NodeParams node; //!< Per-node configuration (all identical).
     fabric::FabricParams fabric; //!< Interconnect topology.
-
-    /**
-     * 0 (default): the classic single-queue kernel — one EventQueue
-     * drives the whole machine, stepped directly by callers.
-     * >= 1: the partitioned conservative-parallel kernel with this
-     * many worker threads: each cluster advances on its own event
-     * queue (plus a hub partition for the second crossbar level),
-     * synchronized in lookahead windows. Byte-identical results for
-     * any thread count, including 1. A single-cluster fabric needs
-     * only one partition and so behaves classically either way.
-     * Fault injection, collectives, and the EARTH runtime all run on
-     * the partitioned kernel: fault counters defer into per-site
-     * accumulators merged at window barriers, collectives keep only
-     * per-rank state advanced by message callbacks, and each EARTH
-     * node's EU homes on queueFor(node) (DESIGN.md §12).
-     */
-    unsigned kernelThreads = 0;
 };
 
 /**
@@ -69,52 +51,8 @@ class System
 
     const SystemParams &params() const { return _p; }
 
-    /**
-     * The machine's primary event queue: the only queue of a classic
-     * build, partition 0's (cluster 0's) queue of a partitioned one.
-     * Code that steps this directly drives the whole machine only in
-     * the classic build — partition-agnostic callers should advance
-     * the machine with pump() and read time with simNow().
-     */
-    sim::EventQueue &queue() { return _kernel.queue(0); }
-
-    /** The event kernel (one partition in the classic build). */
-    sim::Partitioned &kernel() { return _kernel; }
-
-    /** True when the machine runs on more than one event queue. */
-    [[nodiscard]] bool partitioned() const
-    {
-        return _kernel.partitions() > 1;
-    }
-
-    /** The event queue `nodeId`'s components (NI, driver) run on. */
-    sim::EventQueue &
-    queueFor(unsigned nodeId)
-    {
-        return partitioned()
-                   ? _kernel.queue(_fabric->clusterOf(nodeId))
-                   : _kernel.queue(0);
-    }
-
-    /**
-     * Advance the machine: one event of the classic queue, or one
-     * synchronization window of the partitioned kernel.
-     * @return Events executed; 0 means nothing is pending.
-     */
-    std::uint64_t
-    pump()
-    {
-        if (!partitioned())
-            return _kernel.queue(0).step() ? 1 : 0;
-        return _kernel.runWindow();
-    }
-
-    /**
-     * The machine's notion of "now" for elapsed-time reporting: the
-     * most advanced partition clock. Identical to queue().now() in a
-     * classic build.
-     */
-    [[nodiscard]] Tick simNow() const { return _kernel.maxNow(); }
+    /** The event queue that drives the whole machine. */
+    sim::EventQueue &queue() { return _queue; }
 
     fabric::Fabric &fabric() { return *_fabric; }
     unsigned numNodes() const { return _fabric->numNodes(); }
@@ -167,56 +105,10 @@ class System
     }
 
   private:
-    /**
-     * Window-barrier hook that folds the fault model's per-site
-     * deferred counters into the shared "fault" stats group. Barrier
-     * hooks run on the driving thread with all partitions quiescent,
-     * and after every window that executes events — so any read that
-     * happens between pump() calls (audits, --stats dumps, tests)
-     * sees complete totals.
-     */
-    class FaultMergeHook final : public sim::Partitioned::BarrierHook
-    {
-      public:
-        explicit FaultMergeHook(sim::FaultModel &model)
-            : _model(model)
-        {
-        }
-        void atBarrier(Tick wakeTick) override;
-
-      private:
-        sim::FaultModel &_model;
-    };
-
-    /**
-     * Window-barrier hook that drives watchdog scans on a partitioned
-     * machine: with every partition quiescent, the monitor may walk
-     * all reporters race-free (an event-driven scan would run inside
-     * a window, racing the other partitions' lanes). Registered after
-     * the fault merge hook so scans observe merged fault counters.
-     */
-    class WatchdogScanHook final : public sim::Partitioned::BarrierHook
-    {
-      public:
-        explicit WatchdogScanHook(sim::health::Monitor &health)
-            : _health(health)
-        {
-        }
-        void atBarrier(Tick wakeTick) override
-        {
-            _health.barrierScan(wakeTick);
-        }
-
-      private:
-        sim::health::Monitor &_health;
-    };
-
     SystemParams _p;
     sim::Context _ctx;
-    sim::Partitioned _kernel;
+    sim::EventQueue _queue;
     sim::health::Monitor _health;
-    std::unique_ptr<FaultMergeHook> _faultMerge;
-    std::unique_ptr<WatchdogScanHook> _watchdogScan;
     std::unique_ptr<fabric::Fabric> _fabric;
     std::vector<std::unique_ptr<node::Node>> _nodes;
     std::vector<Resettable *> _resettables;

@@ -37,23 +37,6 @@ struct LinkParams
     }
 };
 
-/**
- * Takes over symbol delivery for a link whose receiver lives in a
- * different partition of the sim::Partitioned kernel. The courier
- * receives the (arrival tick, symbol) pair that LinkTx would have
- * scheduled locally and forwards it through the kernel's mailboxes;
- * net::PartitionBridge is the one implementation. The abstract
- * interface exists so LinkTx stays ignorant of partitioning.
- */
-class RemoteCourier
-{
-  public:
-    virtual ~RemoteCourier() = default;
-
-    /** Deliver `sym` to the remote receiver at tick `when`. */
-    virtual void deliverAt(Tick when, const Symbol &sym) = 0;
-};
-
 /** One direction of a link: serializer + wire + delivery. */
 class LinkTx
 {
@@ -127,13 +110,6 @@ class LinkTx
             _site->filterWord(out.data))
             return _busyUntil;
         const Tick arrival = now + tx + _p.latency;
-        if (_courier) {
-            // Cross-partition delivery: the courier (and the credit
-            // accounting of the sink it fronts) replaces both the
-            // local delivery event and the _inflight count.
-            _courier->deliverAt(arrival, out);
-            return _busyUntil;
-        }
         ++_inflight;
         const unsigned gen = _gen;
         // Fire-and-forget: in-flight deliveries are voided by the
@@ -149,13 +125,6 @@ class LinkTx
 
     /** Subscribe to receiver-space availability (stop released). */
     void onReceiverSpace(sim::EventFn cb) { _sink->onSpace(std::move(cb)); }
-
-    /**
-     * Route deliveries through a cross-partition courier instead of
-     * scheduling them on the local queue (see RemoteCourier). Wiring,
-     * not run state: survives reset().
-     */
-    void setCourier(RemoteCourier *courier) { _courier = courier; }
 
     /**
      * Forget all wire state between experiment runs. Delivery events
@@ -178,7 +147,6 @@ class LinkTx
     sim::EventQueue &_queue;
     LinkParams _p;
     SymbolSink *_sink;
-    RemoteCourier *_courier = nullptr;
     sim::FaultSite *_site = nullptr;
     Tick _busyUntil = 0;
     unsigned _inflight = 0;

@@ -47,13 +47,6 @@ class Transceiver : public sim::health::Reporter
     void connectOutput(SymbolSink *downstream);
 
     /**
-     * The output link, for post-connect wiring (the partitioned
-     * fabric attaches a cross-partition courier to it). Null until
-     * connectOutput().
-     */
-    [[nodiscard]] LinkTx *outputLink() { return _tx.get(); }
-
-    /**
      * Drop buffered and in-flight symbols and cancel pending pumps
      * (between experiment runs).
      */

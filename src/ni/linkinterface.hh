@@ -112,8 +112,7 @@ class LinkInterface : public sim::health::Reporter
      * becoming readable in an empty FIFO, or a message completing.
      * One slot (the owning driver), overwritten by the next owner and
      * cleared by the owner's destructor — wiring, not run state, so it
-     * survives reset(). Fired from the NI's own delivery events, i.e.
-     * always in this node's home partition.
+     * survives reset(). Fired from the NI's own delivery events.
      */
     void onRecvActivity(sim::EventFn cb) { _recvActivity = std::move(cb); }
 

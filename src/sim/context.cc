@@ -124,11 +124,11 @@ Context::current()
 Context::Scope::Scope(Context &ctx) : _prev(tlsCurrent)
 {
     // Binding is deliberately NOT owner-asserted: it only swaps this
-    // thread's current() pointer, mutating nothing inside the context.
-    // The partitioned kernel's worker lanes rely on this to bind the
-    // owning System's context while executing its windows, so a panic
-    // on any lane resolves that System's tick and forensic hooks. All
-    // context *mutations* (hooks, inform gate) stay owner-asserted.
+    // thread's current() pointer, mutating nothing inside the context,
+    // so any thread driving a System (a sweep worker, say) can bind
+    // its context and have a panic resolve that System's tick and
+    // forensic hooks. All context *mutations* (hooks, inform gate)
+    // stay owner-asserted.
     tlsCurrent = &ctx;
 }
 

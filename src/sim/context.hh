@@ -121,9 +121,9 @@ class Context
     /**
      * RAII binding of a context as the calling thread's current().
      * Binding is legal from any thread (it swaps a thread-local
-     * pointer and mutates nothing in the context itself); the
-     * partitioned kernel's worker lanes bind their owning System's
-     * context this way. Mutations remain single-writer.
+     * pointer and mutates nothing in the context itself), so a sweep
+     * worker may bind the context of a System another thread built.
+     * Mutations remain single-writer.
      */
     class Scope
     {

@@ -95,20 +95,6 @@ EventQueue::step(Tick limit)
     return false;
 }
 
-Tick
-EventQueue::nextPendingTick()
-{
-    while (!_heap.empty()) {
-        const HeapEntry top = _heap.top();
-        if (_slab[top.slot].state != Record::State::Cancelled)
-            return top.when;
-        --_cancelled;
-        freeRecord(top.slot);
-        _heap.pop();
-    }
-    return kTickNever;
-}
-
 std::size_t
 EventQueue::liveRecords() const
 {

@@ -247,18 +247,6 @@ class EventQueue
     Tick now() const { return _now; }
 
     /**
-     * Advance the idle clock to `t` (forward only; no events run).
-     * Only meaningful on an empty queue — Partitioned::alignClocks()
-     * uses it to line the partition clocks up at a full drain.
-     */
-    void
-    advanceTo(Tick t)
-    {
-        if (t > _now)
-            _now = t;
-    }
-
-    /**
      * Schedule a callback at an absolute tick.
      *
      * [[nodiscard]]: silently dropping the handle is almost always a
@@ -317,15 +305,6 @@ class EventQueue
      * @return true if an event was executed.
      */
     bool step(Tick limit = kTickNever);
-
-    /**
-     * The tick of the earliest pending event, or kTickNever when the
-     * queue is empty. Non-const because cancellation tombstones
-     * surfacing at the top of the heap are drained (which never
-     * advances now() or runs anything). The partitioned kernel uses
-     * this to compute each synchronization window.
-     */
-    [[nodiscard]] Tick nextPendingTick();
 
     /** Total events executed over the queue's lifetime. */
     std::uint64_t executed() const { return _executed; }

@@ -86,25 +86,16 @@ bool
 FaultSite::filterWord(std::uint64_t &word)
 {
     if (_cfg.drop > 0.0 && _rng.chance(_cfg.drop)) {
-        if (_model.deferred())
-            _wordsDropped += 1.0;
-        else
-            ++_model.wordsDropped;
+        ++_model.wordsDropped;
         pm_trace(0, "fault", "%s: dropped word %016llx", _name.c_str(),
                  (unsigned long long)word);
         return true;
     }
     if (_pAnyFlip > 0.0 && _rng.chance(_pAnyFlip)) {
-        if (_model.deferred())
-            _wordsCorrupted += 1.0;
-        else
-            ++_model.wordsCorrupted;
+        ++_model.wordsCorrupted;
         do {
             word ^= 1ull << _rng.below(64);
-            if (_model.deferred())
-                _bitsFlipped += 1.0;
-            else
-                ++_model.bitsFlipped;
+            ++_model.bitsFlipped;
         } while (_rng.chance(_pAnyFlip)); // rare multi-bit hit
         pm_trace(0, "fault", "%s: corrupted word -> %016llx",
                  _name.c_str(), (unsigned long long)word);
@@ -130,13 +121,8 @@ FaultSite::upAt(Tick now)
         // Count each (site, window) block once, from the first
         // attempt that ran into it.
         _lastBlockEnd = up;
-        if (_model.deferred()) {
-            _downStalls += 1.0;
-            _downTicks += static_cast<double>(up - now);
-        } else {
-            ++_model.downStalls;
-            _model.linkDowntime.inc(static_cast<double>(up - now));
-        }
+        ++_model.downStalls;
+        _model.linkDowntime.inc(static_cast<double>(up - now));
         pm_trace(now, "fault", "%s: link down until %llu", _name.c_str(),
                  (unsigned long long)up);
     }
@@ -177,25 +163,6 @@ FaultModel::site(const std::string &name)
     FaultSite *raw = made.get();
     _sites.emplace(name, std::move(made));
     return raw;
-}
-
-void
-FaultModel::mergeSites()
-{
-    for (auto &[name, owned] : _sites) {
-        (void)name;
-        FaultSite &s = *owned;
-        wordsCorrupted.inc(s._wordsCorrupted);
-        bitsFlipped.inc(s._bitsFlipped);
-        wordsDropped.inc(s._wordsDropped);
-        downStalls.inc(s._downStalls);
-        linkDowntime.inc(s._downTicks);
-        s._wordsCorrupted = 0.0;
-        s._bitsFlipped = 0.0;
-        s._wordsDropped = 0.0;
-        s._downStalls = 0.0;
-        s._downTicks = 0.0;
-    }
 }
 
 bool

@@ -94,16 +94,6 @@ class FaultSite
     SplitMix64 _rng;
     double _pAnyFlip = 0.0; //!< P(>= 1 of 64 bits flips) from ber.
     Tick _lastBlockEnd = 0; //!< Dedup for the downtime accounting.
-
-    // Per-site accumulators used when the model defers merging
-    // (partitioned kernel): mid-window only the site's home partition
-    // touches them, and FaultModel::mergeSites() folds them into the
-    // shared Scalars on the driving thread at every window barrier.
-    double _wordsCorrupted = 0.0;
-    double _bitsFlipped = 0.0;
-    double _wordsDropped = 0.0;
-    double _downStalls = 0.0;
-    double _downTicks = 0.0;
 };
 
 /**
@@ -141,25 +131,6 @@ class FaultModel
     /** True when any default or override can perturb traffic. */
     bool anyConfigured() const;
 
-    /**
-     * Defer counter updates into per-site accumulators instead of the
-     * shared Scalars. The partitioned System enables this before the
-     * Fabric is built so concurrent partitions never write the same
-     * counter; mergeSites() folds the site totals back in. Classic
-     * (single-queue) systems leave it off and the sites increment the
-     * Scalars directly, exactly as before.
-     */
-    void setDeferred(bool on) { _deferred = on; }
-    bool deferred() const { return _deferred; }
-
-    /**
-     * Fold every site's deferred accumulators into the shared Scalars
-     * and zero them. Driving thread only (window barrier or full
-     * quiescence); iterates the name-ordered site map, so the merge
-     * order — and therefore the stats output — is deterministic.
-     */
-    void mergeSites();
-
     sim::StatGroup &stats() { return _stats; }
     sim::Scalar wordsCorrupted{"words_corrupted",
                                "data words hit by bit errors"};
@@ -173,7 +144,6 @@ class FaultModel
 
   private:
     std::uint64_t _seed;
-    bool _deferred = false;
     std::vector<std::pair<std::string, FaultConfig>> _overrides;
     std::map<std::string, std::unique_ptr<FaultSite>> _sites;
     sim::StatGroup _stats{"fault"};

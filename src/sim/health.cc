@@ -108,16 +108,6 @@ Monitor::enableWatchdog(Tick interval, Tick deadline)
     disableWatchdog();
     _interval = interval;
     _deadline = deadline ? deadline : 10 * interval;
-    _lastScan = _queue.now();
-    if (_barrierDriven) {
-        // Barrier-driven (partitioned) mode: the event is a pure
-        // heartbeat. It must not walk reporters — it executes inside
-        // a window, concurrently with other partitions — it only
-        // keeps the kernel from draining so windows (and with them
-        // barrierScan) keep coming on an otherwise-idle machine.
-        _scanEvent = _queue.scheduleIn(_interval, [this] { heartbeat(); });
-        return;
-    }
     _scanEvent = _queue.scheduleIn(_interval, [this] { scan(); });
 }
 
@@ -131,15 +121,14 @@ Monitor::disableWatchdog()
 }
 
 void
-Monitor::scanBody(Tick now)
+Monitor::scan()
 {
-    Check check(now, _deadline);
+    Check check(_queue.now(), _deadline);
     for (Reporter *r : _reporters) {
         check.setComponent(r->healthName());
         r->checkHealth(check);
     }
     ++_scans;
-    _lastScan = now;
     if (check.findings()) {
         // The trip message itself names every stalled component: the
         // one-line diagnosis survives even if the dump hooks cannot
@@ -147,29 +136,7 @@ Monitor::scanBody(Tick now)
         pm_panic("health watchdog tripped: %u stalled component(s): %s",
                  check.findings(), check.text().c_str());
     }
-}
-
-void
-Monitor::scan()
-{
-    scanBody(_queue.now());
     _scanEvent = _queue.scheduleIn(_interval, [this] { scan(); });
-}
-
-void
-Monitor::heartbeat()
-{
-    _scanEvent = _queue.scheduleIn(_interval, [this] { heartbeat(); });
-}
-
-void
-Monitor::barrierScan(Tick now)
-{
-    if (_interval == 0 || !_queue.scheduled(_scanEvent))
-        return; // Watchdog off.
-    if (now < _lastScan + _interval)
-        return; // Not a full interval since the last walk yet.
-    scanBody(now);
 }
 
 void
@@ -184,15 +151,9 @@ Monitor::runAudit(Auditor::Point point, const char *where)
     }
     // Event-slab census: a heap/slab disagreement means the kernel
     // lost track of a live event — catch it at the phase boundary,
-    // not as an unexplained hang three runs later. One check covering
-    // every partition's queue, so health.audit_checks stays identical
-    // between the classic and the partitioned kernels.
-    std::size_t live = _queue.liveRecords();
-    std::size_t pending = _queue.pending();
-    for (const EventQueue *q : _auxQueues) {
-        live += q->liveRecords();
-        pending += q->pending();
-    }
+    // not as an unexplained hang three runs later.
+    const std::size_t live = _queue.liveRecords();
+    const std::size_t pending = _queue.pending();
     audit.setComponent("event-queue");
     audit.check(live == pending,
                 "slab live records %zu != pending %zu", live, pending);
@@ -208,18 +169,10 @@ void
 Monitor::dump(std::ostream &os) const
 {
     os << "=== health dump [tick " << _queue.now() << "] ===\n";
-    std::size_t pending = _queue.pending();
-    std::uint64_t executed = _queue.executed();
-    std::uint64_t cancelled = _queue.cancelledTotal();
-    std::size_t slab = _queue.slabSize();
-    for (const EventQueue *q : _auxQueues) {
-        pending += q->pending();
-        executed += q->executed();
-        cancelled += q->cancelledTotal();
-        slab += q->slabSize();
-    }
-    os << "event queue: pending=" << pending << " executed=" << executed
-       << " cancelled=" << cancelled << " slab=" << slab << "\n";
+    os << "event queue: pending=" << _queue.pending()
+       << " executed=" << _queue.executed()
+       << " cancelled=" << _queue.cancelledTotal()
+       << " slab=" << _queue.slabSize() << "\n";
     for (const Reporter *r : _reporters) {
         os << "-- " << r->healthName() << " --\n";
         r->dumpState(os);

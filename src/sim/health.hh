@@ -233,46 +233,11 @@ class Monitor
     Monitor(const Monitor &) = delete;
     Monitor &operator=(const Monitor &) = delete;
 
-    /**
-     * Register an additional partition event queue: the census line
-     * in dump() aggregates over all queues, and the slab audit checks
-     * each one. The primary queue (the constructor's) keeps driving
-     * the watchdog schedule.
-     */
-    void addQueue(EventQueue *queue) { _auxQueues.push_back(queue); }
-
     /** Register a reporter (scanned/audited/dumped in this order). */
     void add(Reporter *reporter);
 
     /** Deregister; required before the reporter dies. */
     void remove(Reporter *reporter);
-
-    /**
-     * Drive watchdog scans from window barriers instead of from a
-     * scan event. On the partitioned kernel a scan event would run
-     * inside a window on partition 0's lane while every other
-     * partition's reporters are being mutated concurrently — a data
-     * race. Barrier-driven mode keeps the reporter walk on the
-     * driving thread with all partitions quiescent: the owner (a
-     * partitioned msg::System) calls barrierScan() from a
-     * Partitioned::BarrierHook, and enableWatchdog() schedules only a
-     * self-rescheduling *heartbeat* on the primary queue so a machine
-     * with no other work still produces windows (and therefore scans)
-     * until the deadline trips. Must be set before enableWatchdog().
-     */
-    void setBarrierDriven(bool barrierDriven)
-    {
-        _barrierDriven = barrierDriven;
-    }
-
-    /**
-     * Barrier-driven scan: run the reporter walk when at least one
-     * scan interval has passed since the last one. Called with every
-     * partition quiescent; trips exactly like an event-driven scan.
-     * @param now The barrier's wake tick (first tick of the next
-     *        window) — a deterministic function of event timestamps.
-     */
-    void barrierScan(Tick now);
 
     /**
      * Enable the progress watchdog.
@@ -316,24 +281,15 @@ class Monitor
     /** One watchdog scan; trips on findings, else reschedules. */
     void scan();
 
-    /** The reporter walk shared by scan() and barrierScan(). */
-    void scanBody(Tick now);
-
-    /** Barrier-driven mode's self-rescheduling keep-alive event. */
-    void heartbeat();
-
     static Tick tickThunk(void *ctx);
     static void dumpThunk(void *ctx, std::ostream &os);
 
     EventQueue &_queue;
     Context &_context;
-    std::vector<EventQueue *> _auxQueues;
     std::vector<Reporter *> _reporters;
     Tick _interval = 0;
     Tick _deadline = 0;
-    Tick _lastScan = 0; //!< Barrier-driven mode: tick of last scan.
     EventHandle _scanEvent;
-    bool _barrierDriven = false;
     bool _auditsEnabled = true;
     std::string _dumpFile;
 

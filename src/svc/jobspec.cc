@@ -30,6 +30,25 @@ appendf(std::string &out, const char *fmt, ...)
     out += buf;
 }
 
+/**
+ * Check that `us` microseconds converts, the way runPoint() converts
+ * it, to a whole number of ticks in [1, kTickNever). On failure `err`
+ * starts with `what` and says which bound was missed.
+ */
+bool
+checkTicks(const char *what, double us, std::string &err)
+{
+    const double t = us * static_cast<double>(kTicksPerUs);
+    if (t >= 1.0 && t < static_cast<double>(kTickNever))
+        return true;
+    char buf[192];
+    std::snprintf(buf, sizeof(buf), "%s of %g us %s", what, us,
+                  t < 1.0 ? "rounds to 0 ticks (1 tick = 1 ps)"
+                          : "overflows the 64-bit tick clock");
+    err = buf;
+    return false;
+}
+
 const std::set<std::string> &
 knownKeys()
 {
@@ -37,7 +56,7 @@ knownKeys()
         "machine", "clusters", "nodes", "uplinks", "fifo",
         "coherence", "replacement", "transport", "node-cpus",
         "fault-ber", "fault-drop", "fault-seed", "fault-link-down",
-        "watchdog", "watchdog-deadline", "dump-file", "kernel-threads",
+        "watchdog", "watchdog-deadline", "dump-file",
         "src", "dst", "bytes", "count", "op", "seed", "stats",
         "strict", "sweep", "jobs", "deadline-us",
     };
@@ -319,15 +338,26 @@ JobSpec::parse(const std::vector<std::string> &tokens, JobSpec &out,
         out.watchdogDeadlineUs = deadline;
     }
 
-    out.dumpFile = f.str("dump-file", "");
-    if (f.has("kernel-threads")) {
-        if (!f.num("kernel-threads", out.kernelThreads))
+    // runPoint() converts both times to whole ticks, and the monitor
+    // pm_fatals on a zero scan interval: reject here what would round
+    // to zero or overflow a Tick. A zero deadline means the monitor's
+    // default, 10x the interval.
+    if (out.watchdog) {
+        const bool folded = f.has("deadline-us");
+        const double deadlineUs = out.watchdogDeadlineUs > 0.0
+                                      ? out.watchdogDeadlineUs
+                                      : 10.0 * out.watchdogUs;
+        if (!checkTicks(folded ? "--deadline-us: the watchdog scan "
+                                 "interval (deadline / 8)"
+                               : "--watchdog: the scan interval",
+                        out.watchdogUs, err) ||
+            !checkTicks(folded ? "--deadline-us: the deadline"
+                               : "--watchdog: the stall deadline",
+                        deadlineUs, err))
             return false;
-        if (out.kernelThreads == 0) {
-            err = "--kernel-threads expects a thread count >= 1";
-            return false;
-        }
     }
+
+    out.dumpFile = f.str("dump-file", "");
 
     out.op = f.str("op", out.op);
     if (knownOps().count(out.op) == 0) {
@@ -469,7 +499,6 @@ JobSpec::canonical() const
         out += "link-down=none\n";
     appendf(out, "watchdog=%d:%.17g:%.17g\n", watchdog ? 1 : 0,
             watchdogUs, watchdogDeadlineUs);
-    appendf(out, "kernel-threads=%u\n", kernelThreads);
     appendf(out, "src=%u\ndst=%u\nbytes=%u\ncount=%u\n", src, dst,
             bytes, count);
     appendf(out, "op=%s\nsoak-seed=%llu\nstats=%d\nstrict=%d\n",
@@ -494,7 +523,6 @@ runPoint(const JobSpec &spec)
     sp.fabric.nodesPerCluster = spec.nodes;
     sp.fabric.uplinksPerCluster = spec.clusters > 1 ? spec.uplinks : 0;
     sp.fabric.ni.fifoWords = spec.fifo;
-    sp.kernelThreads = spec.kernelThreads;
 
     // Fault injection: configured before the System so the fabric's
     // links snapshot the config as they are built. The model must

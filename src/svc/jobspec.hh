@@ -73,7 +73,6 @@ struct JobSpec
     double watchdogUs = 0.0;
     double watchdogDeadlineUs = 0.0;
     std::string dumpFile;
-    unsigned kernelThreads = 0; //!< 0 = classic single-queue kernel.
 
     unsigned src = 0;
     unsigned dst = 1;

@@ -1,15 +1,23 @@
 /**
  * @file
  * Tests for the EARTH-style runtime: fibers, sync slots, split-phase
- * remote memory, remote invocation, quiescence detection, and a small
- * distributed computation end to end.
+ * remote memory, remote invocation, quiescence detection, a small
+ * distributed computation end to end, and two-run determinism of a
+ * cross-cluster workload and a cross-cluster peer death.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "earth/runtime.hh"
 #include "machines/machines.hh"
 #include "msg/system.hh"
+#include "sim/fault.hh"
 
 namespace {
 
@@ -220,6 +228,178 @@ TEST(Earth, RemoteOpLatencyBeatsMessageLayerRoundTrip)
     EXPECT_EQ(v, 5u);
     EXPECT_GT(ticksToUs(t), 4.0); // two one-way latencies at least
     EXPECT_LT(ticksToUs(t), 15.0);
+}
+
+// ---- Across the second crossbar level. -------------------------------------
+
+/** A 2x2 PowerMANNA machine: two clusters of two nodes. */
+msg::SystemParams
+twoClusterParams()
+{
+    msg::SystemParams sp;
+    sp.node = machines::powerManna();
+    sp.fabric = machines::powerMannaFabric(2, 2);
+    return sp;
+}
+
+/**
+ * A healthy workload spanning both clusters: remote invokes,
+ * split-phase puts/gets, and local fibers. Fingerprints the run
+ * duration, the fetched values, and every node's counters.
+ */
+std::string
+crossClusterFingerprint()
+{
+    msg::System sys(twoClusterParams());
+    Runtime rt(sys);
+
+    // Node 0 (cluster 0) gets from node 3 (cluster 1); node 2 puts to
+    // node 1 across clusters; node 3 invokes a function on node 0.
+    rt.registerFunction(1, [](NodeRt &self,
+                              const std::vector<std::uint64_t> &args) {
+        self.storeLocal(0x500, args.at(0) * 2);
+    });
+    rt.node(3).storeLocal(0x100, 777);
+
+    std::uint64_t fetched = 0;
+    bool getDone = false, putDone = false;
+    const SlotRef gslot =
+        rt.node(0).makeSlot(1, [&](NodeRt &) { getDone = true; });
+    rt.node(0).spawnLocal([&, gslot](NodeRt &self) {
+        self.getRemote(3, 0x100, &fetched, gslot);
+    });
+    const SlotRef pslot =
+        rt.node(2).makeSlot(1, [&](NodeRt &) { putDone = true; });
+    rt.node(2).spawnLocal([&, pslot](NodeRt &self) {
+        self.putRemote(1, 0x200, 4242, pslot);
+    });
+    rt.node(3).spawnLocal([](NodeRt &self) {
+        self.invokeRemote(0, 1, {21});
+    });
+
+    const Tick t = rt.run();
+    EXPECT_TRUE(getDone);
+    EXPECT_TRUE(putDone);
+
+    std::ostringstream os;
+    os << "t=" << t << " fetched=" << fetched
+       << " put=" << rt.node(1).loadLocal(0x200)
+       << " invoked=" << rt.node(0).loadLocal(0x500) << "\n";
+    for (unsigned n = 0; n < rt.numNodes(); ++n)
+        os << "n" << n << " fibers=" << rt.node(n).fibersRun.value()
+           << " syncs=" << rt.node(n).syncsHandled.value()
+           << " remote=" << rt.node(n).remoteOps.value() << "\n";
+    return os.str();
+}
+
+TEST(Earth, CrossClusterWorkloadIsByteIdenticalAcrossRuns)
+{
+    const std::string first = crossClusterFingerprint();
+    EXPECT_EQ(first, crossClusterFingerprint());
+    EXPECT_NE(first.find("fetched=777"), std::string::npos) << first;
+    EXPECT_NE(first.find("put=4242"), std::string::npos) << first;
+    EXPECT_NE(first.find("invoked=42"), std::string::npos) << first;
+}
+
+/**
+ * The cross-cabinet peer-death soak: node 3 (cluster 1) is unreachable
+ * for good, so node 0 (cluster 0) discovers the death across the second
+ * crossbar level. The survivors — including node 2, in the dead node's
+ * own cluster — must keep exactly-once delivery through the failure and
+ * through a second post-death round.
+ */
+std::string
+crossClusterPeerDeathOutcome()
+{
+    // Node 3 is dead: everything it sends and everything sent to it
+    // vanishes. Drops (not down-windows) so the shared downlink into
+    // cluster 1 keeps draining — a permanently-down crossbar port
+    // would head-of-line-block the survivors' traffic behind the dead
+    // node's, which is a network partition, not a node death.
+    sim::FaultModel fault(5);
+    sim::FaultConfig dead;
+    dead.drop = 1.0;
+    fault.configure("xbar.c1.net0.out1", dead); // node 3's inbound port
+    fault.configure("ni.n3.net0.tx", dead);
+    msg::SystemParams sp = twoClusterParams();
+    sp.fabric.fault = &fault;
+    msg::System sys(sp);
+
+    EarthCosts costs;
+    costs.driver.retransBase = 2000; // fail fast: the test waits on it
+    costs.driver.maxRetries = 2;
+    Runtime rt(sys, costs);
+
+    std::vector<std::pair<unsigned, unsigned>> deaths;
+    rt.onPeerDeath([&](unsigned node, unsigned deadPeer) {
+        deaths.emplace_back(node, deadPeer);
+    });
+
+    // Node 0 GETs from the doomed node; the value can never arrive.
+    std::uint64_t fetched = 0xABCD;
+    bool getFired = false;
+    const SlotRef slot0 =
+        rt.node(0).makeSlot(1, [&](NodeRt &) { getFired = true; });
+    rt.node(0).spawnLocal([&, slot0](NodeRt &self) {
+        self.getRemote(3, 0x10, &fetched, slot0);
+    });
+
+    // Survivors exchange cross-cluster split-phase stores meanwhile.
+    bool put1Done = false, put2Done = false;
+    const SlotRef slot1 =
+        rt.node(1).makeSlot(1, [&](NodeRt &) { put1Done = true; });
+    rt.node(1).spawnLocal([&, slot1](NodeRt &self) {
+        self.putRemote(2, 0x20, 111, slot1);
+    });
+    const SlotRef slot2 =
+        rt.node(2).makeSlot(1, [&](NodeRt &) { put2Done = true; });
+    rt.node(2).spawnLocal([&, slot2](NodeRt &self) {
+        self.putRemote(1, 0x30, 222, slot2);
+    });
+
+    rt.run();
+    EXPECT_TRUE(put1Done);
+    EXPECT_TRUE(put2Done);
+    EXPECT_FALSE(getFired);
+    EXPECT_EQ(fetched, 0xABCDu);
+
+    // Post-death round: the degraded machine still delivers
+    // exactly-once among the survivors.
+    bool roundTwo = false;
+    const SlotRef slot3 =
+        rt.node(2).makeSlot(1, [&](NodeRt &) { roundTwo = true; });
+    rt.node(2).spawnLocal([&, slot3](NodeRt &self) {
+        self.putRemote(0, 0x40, 333, slot3);
+    });
+    rt.run();
+    EXPECT_TRUE(roundTwo);
+
+    std::ostringstream os;
+    os << "dead=";
+    for (unsigned d : rt.deadPeers())
+        os << d << ",";
+    os << " reports=";
+    for (const auto &[n, d] : deaths)
+        os << n << ":" << d << ",";
+    os << " getsFailed=" << rt.node(0).getsFailed.value()
+       << " v20=" << rt.node(2).loadLocal(0x20)
+       << " v30=" << rt.node(1).loadLocal(0x30)
+       << " v40=" << rt.node(0).loadLocal(0x40) << "\n";
+    for (unsigned n = 0; n < rt.numNodes(); ++n)
+        os << "n" << n << " fibers=" << rt.node(n).fibersRun.value()
+           << " syncs=" << rt.node(n).syncsHandled.value()
+           << " remote=" << rt.node(n).remoteOps.value() << "\n";
+    return os.str();
+}
+
+TEST(Earth, CrossClusterPeerDeathIsByteIdenticalAcrossRuns)
+{
+    const std::string first = crossClusterPeerDeathOutcome();
+    EXPECT_EQ(first, crossClusterPeerDeathOutcome());
+    EXPECT_NE(first.find("dead=3,"), std::string::npos) << first;
+    EXPECT_NE(first.find("reports=0:3,"), std::string::npos) << first;
+    EXPECT_NE(first.find("getsFailed=1"), std::string::npos) << first;
+    EXPECT_NE(first.find("v40=333"), std::string::npos) << first;
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include "msg/system.hh"
 #include "net/fifo.hh"
 #include "ni/linkinterface.hh"
+#include "sim/context.hh"
 #include "sim/event.hh"
 #include "sim/fault.hh"
 
@@ -343,6 +344,66 @@ TEST(Reliability, TwoFaultyRunsWithTheSameSeedAreIdentical)
     // trivially-quiet run).
     EXPECT_NE(first.find("retrans="), std::string::npos);
     EXPECT_EQ(first.find("retrans=0 "), std::string::npos);
+}
+
+/**
+ * A faulty cross-cluster soak on a 2x2 machine plus every observable:
+ * soak counters, a cross-cluster latency row, the fault model's stats,
+ * endpoint NI stats, and the full forensic dump. BER and drop faults
+ * ride the defaults; one uplink transceiver also goes down for a window
+ * mid-soak, so the link-down stall path runs through the second
+ * crossbar level too.
+ */
+std::string
+twoClusterFaultyFingerprint()
+{
+    sim::FaultModel fault(4242);
+    fault.defaults.ber = 1e-4;
+    fault.defaults.drop = 2e-5;
+    sim::FaultConfig flaky = fault.defaults;
+    flaky.down.push_back({50 * kTicksPerUs, 90 * kTicksPerUs});
+    // The soak's uplink: the driver spreads node 0 -> 2 over u2.
+    fault.configure("xcvr.up.c0.u2*", flaky);
+    msg::SystemParams sp;
+    sp.node = machines::powerManna();
+    sp.fabric = machines::powerMannaFabric(2, 2);
+    sp.fabric.fault = &fault;
+    msg::System sys(sp);
+
+    std::ostringstream os;
+    const auto soak = msg::runDeliverySoak(sys, 0, 2, 128, 120);
+    os << "delivered=" << soak.delivered << " intact=" << soak.intact
+       << " us=" << soak.elapsedUs << " retrans=" << soak.retransmits
+       << " crc=" << soak.crcDrops << " dup=" << soak.duplicateDiscards
+       << " ooo=" << soak.outOfOrderDiscards << " to=" << soak.timeouts
+       << " acks=" << soak.acksSent << " nacks=" << soak.nacksSent
+       << "\n";
+    os << "lat=" << msg::measureOneWayLatencyUs(sys, 1, 3, 64, 4)
+       << "\n";
+    {
+        sim::Context::Scope scope(sys.context());
+        while (sys.queue().step()) {
+        }
+        os << "now=" << sys.queue().now() << "\n";
+        fault.stats().dump(os);
+        sys.ni(0).stats().dump(os);
+        sys.ni(2).stats().dump(os);
+        sim::Context::current().runDumpHooks(os);
+    }
+    // The fault counters are live by the time anyone reads them.
+    EXPECT_GT(fault.wordsCorrupted.value(), 0.0);
+    EXPECT_GT(fault.downStalls.value(), 0.0);
+    return os.str();
+}
+
+TEST(Reliability, TwoClusterFaultySoakIsByteIdenticalAcrossRuns)
+{
+    const std::string first = twoClusterFaultyFingerprint();
+    const std::string second = twoClusterFaultyFingerprint();
+    EXPECT_EQ(first, second);
+    EXPECT_NE(first.find("delivered=120 intact=1"), std::string::npos)
+        << first;
+    EXPECT_NE(first.find("=== health dump"), std::string::npos) << first;
 }
 
 // ---- Link-down window validation. ----------------------------------------

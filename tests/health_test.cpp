@@ -229,77 +229,6 @@ TEST(HealthDeath, PanicPrintsTheSimulationTick)
     EXPECT_DEATH(stalledSoak(), "\\[tick [0-9]+\\]");
 }
 
-// ---- Watchdog × partitioned kernel composition. --------------------------
-//
-// PR-4 forbade --watchdog with --kernel-threads because the scan event
-// would have forced a global serialization point. Barrier-driven scans
-// lift that: under a partitioned kernel the Monitor schedules only a
-// pure-reschedule heartbeat and the scan body runs from a barrier
-// hook, so the composition must now be byte-identical to the classic
-// single-queue run — same scan count, same stats, same trip forensics.
-
-std::string
-watchdoggedSoakFingerprint(unsigned kernelThreads)
-{
-    msg::SystemParams sp = smallSystem();
-    sp.kernelThreads = kernelThreads;
-    msg::System sys(sp);
-    // 10 us interval: several scans fire inside the ~65 us soak.
-    sys.health().enableWatchdog(10 * kTicksPerUs, 1000 * kTicksPerUs);
-    const auto r = msg::runDeliverySoak(sys, 0, 1, 8, 32);
-    std::ostringstream os;
-    os << "now=" << sys.queue().now() << " delivered=" << r.delivered
-       << " intact=" << r.intact << " acks=" << r.acksSent << "\n";
-    sys.health().stats().dump(os);
-    return os.str();
-}
-
-TEST(HealthPartitioned, BarrierScansMatchClassicScans)
-{
-    const std::string classic = watchdoggedSoakFingerprint(0);
-    const std::string partitioned = watchdoggedSoakFingerprint(2);
-    EXPECT_EQ(classic, partitioned);
-    // The watchdog genuinely scanned in both modes.
-    EXPECT_EQ(classic.find("health.scans 0 "), std::string::npos)
-        << classic;
-}
-
-TEST(HealthPartitioned, WatchdogStaysEnabledUnderBarrierDriveMode)
-{
-    msg::SystemParams sp = smallSystem();
-    sp.kernelThreads = 2;
-    msg::System sys(sp);
-    EXPECT_FALSE(sys.health().watchdogEnabled());
-    sys.health().enableWatchdog(100 * kTicksPerUs, 500 * kTicksPerUs);
-    // The drain path keys off watchdogEnabled() to decide whether the
-    // heartbeat keeps the queue non-quiescent; it must hold in barrier
-    // mode exactly as in classic mode.
-    EXPECT_TRUE(sys.health().watchdogEnabled());
-    sys.health().disableWatchdog();
-    EXPECT_FALSE(sys.health().watchdogEnabled());
-}
-
-/** stalledSoak() on a partitioned kernel: the trip must be identical. */
-void
-stalledSoakPartitioned()
-{
-    sim::FaultModel fault(7);
-    fault.defaults.down.push_back({0, kTickNever});
-    msg::SystemParams sp = smallSystem();
-    sp.fabric.fault = &fault;
-    sp.kernelThreads = 2;
-    msg::System sys(sp);
-    sys.health().enableWatchdog(100 * kTicksPerUs, 500 * kTicksPerUs);
-    (void)msg::runDeliverySoak(sys, 0, 1, 256, 8);
-}
-
-TEST(HealthDeath, WatchdogTripIsIdenticalUnderKernelThreads)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH(stalledSoakPartitioned(),
-                 "watchdog tripped.*ni\\.n0\\.net0.*send FIFO stuck");
-}
-
 TEST(HealthDeath, MidFlightConservationAuditPanics)
 {
     msg::System sys(smallSystem());

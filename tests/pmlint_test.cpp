@@ -9,9 +9,9 @@
  * line in text mode). Any rule regression — a lost detection, a new
  * false positive on the clean files, a changed diagnostic format —
  * shows up as a diff here in tier-1. The cross-TU rules (dangling-
- * capture, cross-partition-write, layering/include cycles,
- * stale-annotation) are exercised by the same tree: their fixtures
- * only produce findings when pass 2 links indexes across files.
+ * capture, layering/include cycles, stale-annotation) are exercised
+ * by the same tree: their fixtures only produce findings when pass 2
+ * links indexes across files.
  *
  * The binary and paths are injected by CMake as PMLINT_* macros.
  */
@@ -86,8 +86,7 @@ TEST(PmLint, EverySeededRuleIsDetected)
          {"[banned-ident]", "[unordered-iter]", "[std-function]",
           "[include-guard]", "[no-iostream]", "[no-raw-abort]",
           "[assert-side-effect]", "[annotation]",
-          "[no-static-mutable]", "[dangling-capture]",
-          "[cross-partition-write]", "[layering]",
+          "[no-static-mutable]", "[dangling-capture]", "[layering]",
           "[stale-annotation]"})
         EXPECT_NE(res.output.find(rule), std::string::npos)
             << "rule never fired on fixtures: " << rule;

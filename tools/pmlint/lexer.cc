@@ -413,7 +413,6 @@ annotationRules()
         {"guard-ok", "include-guard"},
         {"abort-ok", "no-raw-abort"},
         {"static-ok", "no-static-mutable"},
-        {"partition-ok", "cross-partition-write"},
         {"capture-ok", "dangling-capture"},
         {"layer-ok", "layering"},
     };

@@ -25,8 +25,7 @@ topDir(const std::string &path)
 const std::set<std::string> &
 builtinSinks()
 {
-    static const std::set<std::string> k = {"schedule", "scheduleIn",
-                                            "post"};
+    static const std::set<std::string> k = {"schedule", "scheduleIn"};
     return k;
 }
 
@@ -48,107 +47,6 @@ checkDanglingCapture(const std::vector<TuIndex> &tus, Diags &out)
                      "event fires; capture by value, or annotate "
                      "'// pmlint: capture-ok(<reason>)' if the queue "
                      "provably drains before the frame unwinds"});
-        }
-    }
-}
-
-// ---- cross-partition-write ---------------------------------------------
-
-struct MergedClass
-{
-    bool barrierHook = false;
-    std::string homeQueueField;
-    std::map<std::string, bool> fields; //!< name -> atomic
-};
-
-std::map<std::string, MergedClass>
-mergeClasses(const std::vector<TuIndex> &tus)
-{
-    std::map<std::string, MergedClass> table;
-    for (const TuIndex &tu : tus) {
-        for (const ClassInfo &c : tu.classes) {
-            if (c.name.empty())
-                continue;
-            MergedClass &m = table[c.name];
-            m.barrierHook = m.barrierHook || c.barrierHook;
-            if (m.homeQueueField.empty())
-                m.homeQueueField = c.homeQueueField;
-            for (const FieldInfo &f : c.fields) {
-                auto [it, fresh] = m.fields.emplace(f.name, f.atomic);
-                if (!fresh)
-                    it->second = it->second || f.atomic;
-            }
-        }
-    }
-    // Homing assignments found away from the class body (ctor-init
-    // lists in .cc files) — only a real field of the class can be the
-    // homed queue, which filters the heuristic's false matches.
-    for (const TuIndex &tu : tus) {
-        for (const Homing &h : tu.homings) {
-            auto it = table.find(h.className);
-            if (it == table.end())
-                continue;
-            if (it->second.homeQueueField.empty() &&
-                it->second.fields.count(h.field))
-                it->second.homeQueueField = h.field;
-        }
-    }
-    return table;
-}
-
-void
-checkCrossPartitionWrite(const std::vector<TuIndex> &tus, Diags &out)
-{
-    const std::map<std::string, MergedClass> classes = mergeClasses(tus);
-    for (const TuIndex &tu : tus) {
-        // The kernel itself moves posted events between partitions.
-        if (tu.relPath == "sim/partition.cc" ||
-            tu.relPath == "sim/partition.hh")
-            continue;
-        for (const PostWrite &w : tu.postWrites) {
-            for (const std::string &name : w.names) {
-                std::string cls;
-                const MergedClass *m = nullptr;
-                if (!w.enclosingClass.empty()) {
-                    auto it = classes.find(w.enclosingClass);
-                    if (it == classes.end() ||
-                        !it->second.fields.count(name))
-                        continue; // a local or capture, not a member
-                    cls = it->first;
-                    m = &it->second;
-                } else {
-                    // Owner unknown: resolve by field name; stay
-                    // silent if *any* candidate class is exempt.
-                    bool exempt = false;
-                    for (const auto &[n, cand] : classes) {
-                        auto f = cand.fields.find(name);
-                        if (f == cand.fields.end())
-                            continue;
-                        if (cls.empty()) {
-                            cls = n;
-                            m = &cand;
-                        }
-                        if (cand.barrierHook || f->second)
-                            exempt = true;
-                    }
-                    if (cls.empty() || exempt)
-                        continue;
-                }
-                if (m->barrierHook || m->fields.at(name))
-                    continue;
-                std::string msg =
-                    "field '" + name + "' of class '" + cls + "'";
-                if (!m->homeQueueField.empty())
-                    msg += " (homed on its '" + m->homeQueueField +
-                           "' queue)";
-                msg += " is written from a Partitioned::post callback "
-                       "that runs on another partition's queue, with no "
-                       "barrier-hook merge and no std::atomic; move the "
-                       "write into a BarrierHook, make the field atomic, "
-                       "or annotate '// pmlint: partition-ok(<reason>)'";
-                out.push_back({tu.relPath, w.line, w.col,
-                               "cross-partition-write", std::move(msg)});
-            }
         }
     }
 }
@@ -340,7 +238,6 @@ link(const std::vector<TuIndex> &tus)
     for (const TuIndex &tu : tus)
         diags.insert(diags.end(), tu.findings.begin(), tu.findings.end());
     checkDanglingCapture(tus, diags);
-    checkCrossPartitionWrite(tus, diags);
     checkLayering(tus, diags);
 
     Diags unsuppressible;

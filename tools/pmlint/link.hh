@@ -2,9 +2,8 @@
  * @file
  * Pass 2: merge every TuIndex and produce the final diagnostic list.
  *
- * The link stage owns the cross-TU rules — dangling-capture,
- * cross-partition-write, layering (including fatal include cycles) and
- * stale-annotation — and is the single place suppression annotations
+ * The link stage owns the cross-TU rules — dangling-capture, layering
+ * (including fatal include cycles) and stale-annotation — and is the single place suppression annotations
  * are applied: per-file findings arrive raw, each `<name>-ok(reason)`
  * annotation silences matching findings on its own or the following
  * line, and a well-formed annotation that silences nothing is itself

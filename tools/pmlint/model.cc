@@ -8,7 +8,7 @@ namespace pmlint {
 namespace {
 
 constexpr const char *kMagic = "pmlint-index";
-constexpr int kVersion = 2;
+constexpr int kVersion = 3;
 
 /**
  * Split one space-separated field off `line` starting at `pos`;
@@ -47,40 +47,6 @@ toInt(const std::string &s, int &out)
     return true;
 }
 
-std::string
-joinNames(const std::vector<std::string> &names)
-{
-    if (names.empty())
-        return "-";
-    std::string out;
-    for (const std::string &n : names) {
-        if (!out.empty())
-            out += ',';
-        out += n;
-    }
-    return out;
-}
-
-std::vector<std::string>
-splitNames(const std::string &joined)
-{
-    std::vector<std::string> out;
-    if (joined == "-")
-        return out;
-    std::size_t start = 0;
-    while (start <= joined.size()) {
-        std::size_t comma = joined.find(',', start);
-        if (comma == std::string::npos) {
-            if (start < joined.size())
-                out.push_back(joined.substr(start));
-            break;
-        }
-        out.push_back(joined.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
 } // namespace
 
 std::uint64_t
@@ -115,22 +81,6 @@ serialize(const TuIndex &tu)
             << l.captures << '\n';
     for (const std::string &s : tu.sinks)
         out << "S " << s << '\n';
-    for (const ClassInfo &c : tu.classes) {
-        out << "C " << c.line << ' ' << (c.barrierHook ? 1 : 0) << ' '
-            << c.name << ' '
-            << (c.homeQueueField.empty() ? "-" : c.homeQueueField) << '\n';
-        for (const FieldInfo &f : c.fields)
-            out << "M " << c.name << ' ' << (f.atomic ? 1 : 0) << ' '
-                << f.name << '\n';
-    }
-    for (const Homing &h : tu.homings)
-        out << "H " << h.line << ' ' << h.className << ' ' << h.field
-            << '\n';
-    for (const PostWrite &w : tu.postWrites)
-        out << "W " << w.line << ' ' << w.col << ' '
-            << (w.capturesThis ? 1 : 0) << ' '
-            << (w.enclosingClass.empty() ? "-" : w.enclosingClass) << ' '
-            << joinNames(w.names) << '\n';
     return out.str();
 }
 
@@ -199,48 +149,6 @@ deserialize(const std::string &text, TuIndex &tu)
             tu.lambdas.push_back(std::move(l));
         } else if (tag == "S") {
             tu.sinks.push_back(rest(line, pos));
-        } else if (tag == "C") {
-            ClassInfo c;
-            int hook = 0;
-            if (!toInt(field(line, pos), c.line) ||
-                !toInt(field(line, pos), hook))
-                return false;
-            c.barrierHook = hook != 0;
-            c.name = field(line, pos);
-            const std::string home = field(line, pos);
-            c.homeQueueField = home == "-" ? "" : home;
-            tu.classes.push_back(std::move(c));
-        } else if (tag == "M") {
-            const std::string cls = field(line, pos);
-            int atomic = 0;
-            if (!toInt(field(line, pos), atomic))
-                return false;
-            FieldInfo f{rest(line, pos), atomic != 0};
-            // M records always follow their C record.
-            for (ClassInfo &c : tu.classes)
-                if (c.name == cls) {
-                    c.fields.push_back(std::move(f));
-                    break;
-                }
-        } else if (tag == "H") {
-            Homing h;
-            if (!toInt(field(line, pos), h.line))
-                return false;
-            h.className = field(line, pos);
-            h.field = rest(line, pos);
-            tu.homings.push_back(std::move(h));
-        } else if (tag == "W") {
-            PostWrite w;
-            int capThis = 0;
-            if (!toInt(field(line, pos), w.line) ||
-                !toInt(field(line, pos), w.col) ||
-                !toInt(field(line, pos), capThis))
-                return false;
-            w.capturesThis = capThis != 0;
-            const std::string cls = field(line, pos);
-            w.enclosingClass = cls == "-" ? "" : cls;
-            w.names = splitNames(rest(line, pos));
-            tu.postWrites.push_back(std::move(w));
         } else {
             return false; // unknown record: treat as corrupt
         }

@@ -6,8 +6,8 @@
  * One TuIndex per file, a pure function of that file's bytes (keyed by
  * a content hash so CI can cache pass 1 across runs). The link stage
  * (link.hh) merges all TuIndexes and enforces the cross-TU rules —
- * dangling-capture, cross-partition-write, layering, stale-annotation —
- * then applies suppression annotations to the combined finding set.
+ * dangling-capture, layering, stale-annotation — then applies
+ * suppression annotations to the combined finding set.
  */
 
 #ifndef PM_PMLINT_MODEL_HH
@@ -43,50 +43,6 @@ struct LambdaSite
     std::string captures; //!< The offending entries, comma-joined.
 };
 
-/** One data member of an indexed class. */
-struct FieldInfo
-{
-    std::string name;
-    bool atomic; //!< Declared std::atomic<...> (or atomic_*).
-};
-
-/** One class/struct declaration and the facts the link stage uses. */
-struct ClassInfo
-{
-    std::string name;
-    int line;
-    bool barrierHook; //!< Derives Partitioned::BarrierHook (or
-                      //!< registers itself via addBarrierHook(this)).
-    std::string homeQueueField; //!< Member initialized from queueFor(),
-                                //!< empty when the class is not homed.
-    std::vector<FieldInfo> fields;
-};
-
-/**
- * A queueFor(...) homing assignment found outside the class body
- * (typically a constructor-init list in a .cc); merged into the class
- * table by name at link time.
- */
-struct Homing
-{
-    int line;
-    std::string className;
-    std::string field; //!< The member receiving the homed queue.
-};
-
-/**
- * Identifiers written inside a lambda passed to Partitioned::post —
- * i.e. code that will run on *another* partition's queue.
- */
-struct PostWrite
-{
-    int line;
-    int col;
-    bool capturesThis;
-    std::string enclosingClass; //!< "" when unknown.
-    std::vector<std::string> names; //!< Written identifiers, sorted.
-};
-
 /** The complete pass-1 result for one translation unit. */
 struct TuIndex
 {
@@ -97,9 +53,6 @@ struct TuIndex
     std::vector<IncludeEdge> includes;
     std::vector<LambdaSite> lambdas;
     std::vector<std::string> sinks; //!< Functions taking an EventFn.
-    std::vector<ClassInfo> classes;
-    std::vector<Homing> homings;
-    std::vector<PostWrite> postWrites;
 };
 
 /** FNV-1a 64-bit — the index cache key. */

@@ -20,27 +20,17 @@ isIdent(const Token &t, const char *text)
     return t.kind == Token::Kind::Ident && t.text == text;
 }
 
-const std::set<std::string> &
-assignOps()
-{
-    static const std::set<std::string> k = {
-        "=",  "+=", "-=", "*=",  "/=",  "%=",
-        "&=", "|=", "^=", "<<=", ">>=",
-    };
-    return k;
-}
-
 /**
- * The declaration walk. This is not a C++ parser: it keeps a scope
- * stack keyed on braces, recognizes class heads, and pattern-matches
- * the handful of constructs the link stage needs. Unknown syntax is
- * skipped, never fatal.
+ * The token walk. This is not a C++ parser: it pattern-matches the
+ * two constructs the link stage needs — functions whose parameter
+ * list mentions EventFn, and lambdas with by-reference captures passed
+ * as call arguments. Unknown syntax is skipped, never fatal.
  */
 class Indexer
 {
   public:
     explicit Indexer(const SourceFile &f)
-        : _f(f), _toks(f.tokens)
+        : _toks(f.tokens)
     {
     }
 
@@ -57,57 +47,8 @@ class Indexer
     }
 
   private:
-    struct Scope
-    {
-        enum class Kind { Namespace, Class, Block };
-        Kind kind;
-        std::string className; //!< Class, or enclosing function's class.
-        int classIndex; //!< Into _out->classes; -1 for non-class scopes.
-    };
-
-    const SourceFile &_f;
     const std::vector<Token> &_toks;
     TuIndex *_out = nullptr;
-    std::vector<Scope> _scopes;
-    std::vector<std::size_t> _stmt; //!< Class-body statement tokens.
-    std::string _pendingClass; //!< From `X::f(` until its body opens.
-    bool _sawNamespace = false; //!< "namespace" since last ;/{/}.
-
-    bool
-    inClassBody() const
-    {
-        return !_scopes.empty() &&
-               _scopes.back().kind == Scope::Kind::Class;
-    }
-
-    /** True outside every class and function body (namespaces only). */
-    bool
-    atFileScope() const
-    {
-        for (const Scope &s : _scopes)
-            if (s.kind != Scope::Kind::Namespace)
-                return false;
-        return true;
-    }
-
-    /** Innermost class name: class scope, member-fn body, or pending. */
-    std::string
-    currentClass() const
-    {
-        for (auto it = _scopes.rbegin(); it != _scopes.rend(); ++it)
-            if (!it->className.empty())
-                return it->className;
-        return _pendingClass;
-    }
-
-    int
-    currentClassIndex() const
-    {
-        for (auto it = _scopes.rbegin(); it != _scopes.rend(); ++it)
-            if (it->kind == Scope::Kind::Class)
-                return it->classIndex;
-        return -1;
-    }
 
     /**
      * Name of the innermost call the token at `i` is an argument of:
@@ -151,174 +92,17 @@ class Indexer
         return "";
     }
 
-    /** Index of the token after the matching closer for _toks[open]. */
-    std::size_t
-    afterMatching(std::size_t open, const char *opener,
-                  const char *closer) const
-    {
-        int depth = 0;
-        for (std::size_t j = open; j < _toks.size(); ++j) {
-            if (isPunct(_toks[j], opener))
-                ++depth;
-            else if (isPunct(_toks[j], closer) && --depth == 0)
-                return j + 1;
-        }
-        return _toks.size();
-    }
-
     std::size_t
     step(std::size_t i)
     {
         const Token &t = _toks[i];
-        if (t.kind == Token::Kind::Ident) {
-            if (t.text == "namespace")
-                _sawNamespace = true;
-            else if ((t.text == "class" || t.text == "struct") &&
-                     classHeadAllowed(i))
-                return classHead(i);
-            else if (t.text == "EventFn")
-                harvestSink(i);
-            else if (t.text == "queueFor" && i + 1 < _toks.size() &&
-                     isPunct(_toks[i + 1], "("))
-                harvestHoming(i);
-            else if (t.text == "addBarrierHook" && i + 2 < _toks.size() &&
-                     isPunct(_toks[i + 1], "(") &&
-                     isIdent(_toks[i + 2], "this"))
-                markHookClass();
-            if (inClassBody())
-                _stmt.push_back(i);
-            return i;
-        }
-        if (isPunct(t, "[")) {
+        if (isIdent(t, "EventFn")) {
+            harvestSink(i);
+        } else if (isPunct(t, "[")) {
             if (i + 1 < _toks.size() && isPunct(_toks[i + 1], "["))
                 return afterAttribute(i);
             if (lambdaIntro(i))
                 return lambdaSite(i);
-            if (inClassBody())
-                _stmt.push_back(i);
-            return i;
-        }
-        if (isPunct(t, "(") && atFileScope() && _pendingClass.empty() &&
-            i >= 3 && _toks[i - 1].kind == Token::Kind::Ident &&
-            isPunct(_toks[i - 2], "::") &&
-            _toks[i - 3].kind == Token::Kind::Ident) {
-            // Out-of-class member definition header: X::f( ... ) { .
-            _pendingClass = _toks[i - 3].text;
-        }
-        if (isPunct(t, "{")) {
-            if (inClassBody())
-                classStmtBrace();
-            _scopes.push_back({_sawNamespace ? Scope::Kind::Namespace
-                                             : Scope::Kind::Block,
-                               _sawNamespace ? "" : _pendingClass, -1});
-            _pendingClass.clear();
-            _sawNamespace = false;
-            return i;
-        }
-        if (isPunct(t, "}")) {
-            if (!_scopes.empty())
-                _scopes.pop_back();
-            _stmt.clear();
-            _sawNamespace = false;
-            return i;
-        }
-        if (isPunct(t, ";")) {
-            if (inClassBody())
-                classStmtEnd();
-            _pendingClass.clear();
-            _sawNamespace = false;
-            return i;
-        }
-        if (isPunct(t, ":") && inClassBody()) {
-            // Access specifier resets the statement; anything else
-            // (bitfield, ctor-init of an inline method) stays.
-            if (_stmt.size() == 1) {
-                const Token &only = _toks[_stmt[0]];
-                if (isIdent(only, "public") || isIdent(only, "private") ||
-                    isIdent(only, "protected")) {
-                    _stmt.clear();
-                    return i;
-                }
-            }
-        }
-        if (inClassBody())
-            _stmt.push_back(i);
-        return i;
-    }
-
-    bool
-    classHeadAllowed(std::size_t i) const
-    {
-        if (i == 0)
-            return true;
-        const Token &prev = _toks[i - 1];
-        // `enum class`, `template <class T, class U>`.
-        if (isIdent(prev, "enum") || isPunct(prev, "<") ||
-            isPunct(prev, ","))
-            return false;
-        return true;
-    }
-
-    /**
-     * Parse `class X [final] [: bases] {`; pushes a class scope and
-     * records a ClassInfo. Forward declarations and uses of class/
-     * struct as an elaborated type specifier fall through unrecorded.
-     */
-    std::size_t
-    classHead(std::size_t i)
-    {
-        std::string name;
-        bool hook = false;
-        bool inBases = false;
-        int angle = 0;
-        for (std::size_t j = i + 1;
-             j < _toks.size() && j < i + 300; ++j) {
-            const Token &t = _toks[j];
-            if (t.kind == Token::Kind::Ident) {
-                if (inBases) {
-                    if (t.text == "BarrierHook")
-                        hook = true;
-                } else if (t.text != "final") {
-                    name = t.text;
-                }
-                continue;
-            }
-            if (isPunct(t, "<")) {
-                ++angle;
-                continue;
-            }
-            if (isPunct(t, ">")) {
-                if (angle > 0)
-                    --angle;
-                continue;
-            }
-            if (isPunct(t, ">>")) {
-                angle = angle >= 2 ? angle - 2 : 0;
-                continue;
-            }
-            if (angle > 0)
-                continue;
-            if (isPunct(t, ":")) {
-                inBases = true;
-                continue;
-            }
-            if (isPunct(t, "{")) {
-                ClassInfo c;
-                c.name = name;
-                c.line = _toks[i].line;
-                c.barrierHook = hook;
-                _out->classes.push_back(std::move(c));
-                _scopes.push_back(
-                    {Scope::Kind::Class, name,
-                     static_cast<int>(_out->classes.size()) - 1});
-                _stmt.clear();
-                return j;
-            }
-            if (isPunct(t, ";") || isPunct(t, "(") || isPunct(t, ")") ||
-                isPunct(t, "=")) {
-                // Forward declaration, parameter type, or similar.
-                return i;
-            }
         }
         return i;
     }
@@ -353,7 +137,7 @@ class Indexer
     lambdaSite(std::size_t i)
     {
         // Parse the capture list.
-        bool byRef = false, capturesThis = false;
+        bool byRef = false;
         std::string offending;
         std::size_t close = i + 1;
         {
@@ -371,8 +155,6 @@ class Indexer
                     if (entry.size() > 1 &&
                         _toks[entry[1]].kind == Token::Kind::Ident)
                         offending += _toks[entry[1]].text;
-                } else if (isIdent(first, "this")) {
-                    capturesThis = true;
                 }
                 entry.clear();
             };
@@ -404,61 +186,9 @@ class Indexer
         if (byRef && !callee.empty())
             _out->lambdas.push_back({_toks[i].line, _toks[i].col, callee,
                                      offending});
-        if (callee == "post")
-            harvestPostWrites(i, after, capturesThis);
-        // Do not skip the body: nested lambdas and scopes inside are
-        // walked normally (the '{' pushes a scope as usual).
+        // Do not skip the body: nested lambdas inside are walked
+        // normally.
         return close;
-    }
-
-    /** Collect identifiers written inside the lambda body. */
-    void
-    harvestPostWrites(std::size_t intro, std::size_t after,
-                      bool capturesThis)
-    {
-        // Find the body '{': skip the parameter list and specifiers.
-        std::size_t j = after;
-        if (isPunct(_toks[j], "("))
-            j = afterMatching(j, "(", ")");
-        std::size_t limit = j + 16; // mutable/noexcept/-> Type
-        while (j < _toks.size() && j < limit && !isPunct(_toks[j], "{"))
-            ++j;
-        if (j >= _toks.size() || !isPunct(_toks[j], "{"))
-            return;
-        const std::size_t end = afterMatching(j, "{", "}");
-        std::set<std::string> names;
-        for (std::size_t k = j + 1; k + 1 < end; ++k) {
-            const Token &t = _toks[k];
-            if (t.kind == Token::Kind::Ident &&
-                _toks[k + 1].kind == Token::Kind::Punct &&
-                assignOps().count(_toks[k + 1].text)) {
-                // `int x = ...` declares; `obj.field = ...` writes the
-                // field; a plain `x = ...` writes a capture or member.
-                if (k > 0 && (_toks[k - 1].kind == Token::Kind::Ident ||
-                              isPunct(_toks[k - 1], "*") ||
-                              isPunct(_toks[k - 1], "&") ||
-                              isPunct(_toks[k - 1], ">")))
-                    continue;
-                names.insert(t.text);
-            }
-            if (t.kind == Token::Kind::Punct &&
-                (t.text == "++" || t.text == "--")) {
-                if (_toks[k + 1].kind == Token::Kind::Ident)
-                    names.insert(_toks[k + 1].text);
-                else if (k > 0 &&
-                         _toks[k - 1].kind == Token::Kind::Ident)
-                    names.insert(_toks[k - 1].text);
-            }
-        }
-        if (names.empty())
-            return;
-        PostWrite w;
-        w.line = _toks[intro].line;
-        w.col = _toks[intro].col;
-        w.capturesThis = capturesThis;
-        w.enclosingClass = currentClass();
-        w.names.assign(names.begin(), names.end());
-        _out->postWrites.push_back(std::move(w));
     }
 
     /** A function whose parameter list mentions EventFn is a sink. */
@@ -468,103 +198,6 @@ class Indexer
         const std::string callee = enclosingCallee(i);
         if (!callee.empty())
             _out->sinks.push_back(callee);
-    }
-
-    /** `_queue(sys.queueFor(node))` homes the enclosing class. */
-    void
-    harvestHoming(std::size_t i)
-    {
-        const std::string fieldName = enclosingCallee(i);
-        const std::string cls = currentClass();
-        if (fieldName.empty() || cls.empty())
-            return;
-        const int idx = currentClassIndex();
-        if (idx >= 0 && _out->classes[idx].name == cls) {
-            if (_out->classes[idx].homeQueueField.empty())
-                _out->classes[idx].homeQueueField = fieldName;
-            return;
-        }
-        _out->homings.push_back({_toks[i].line, cls, fieldName});
-    }
-
-    void
-    markHookClass()
-    {
-        const std::string cls = currentClass();
-        if (cls.empty())
-            return;
-        for (ClassInfo &c : _out->classes)
-            if (c.name == cls)
-                c.barrierHook = true;
-    }
-
-    /** End of a class-body statement: record a field if it is one. */
-    void
-    classStmtEnd()
-    {
-        processFieldStmt();
-        _stmt.clear();
-    }
-
-    /**
-     * A '{' inside a class body: method/enum/nested-type heads are not
-     * fields, but `std::atomic<unsigned> _n{0};` brace-init is.
-     */
-    void
-    classStmtBrace()
-    {
-        bool hasParen = false;
-        for (std::size_t k : _stmt)
-            if (isPunct(_toks[k], "("))
-                hasParen = true;
-        if (!hasParen)
-            processFieldStmt();
-        _stmt.clear();
-    }
-
-    void
-    processFieldStmt()
-    {
-        if (_stmt.size() < 2)
-            return;
-        const int idx = currentClassIndex();
-        if (idx < 0)
-            return;
-        static const std::set<std::string> kNotAField = {
-            "using", "typedef", "friend",   "template", "operator",
-            "enum",  "static",  "namespace",
-        };
-        bool atomic = false;
-        std::size_t eq = _stmt.size();
-        for (std::size_t n = 0; n < _stmt.size(); ++n) {
-            const Token &t = _toks[_stmt[n]];
-            if (t.kind == Token::Kind::Ident) {
-                if (kNotAField.count(t.text))
-                    return;
-                if (t.text.rfind("atomic", 0) == 0)
-                    atomic = true;
-            }
-            if (isPunct(t, "("))
-                return; // method, or too clever to be sure
-            if (isPunct(t, "=") && eq == _stmt.size())
-                eq = n;
-        }
-        // Declared name: last identifier before the initializer,
-        // skipping array extents, bitfield widths, and declarator
-        // punctuation.
-        for (std::size_t n = eq; n-- > 0;) {
-            const Token &t = _toks[_stmt[n]];
-            if (t.kind == Token::Kind::Ident) {
-                _out->classes[idx].fields.push_back({t.text, atomic});
-                return;
-            }
-            if (t.kind == Token::Kind::Number ||
-                (t.kind == Token::Kind::Punct &&
-                 (t.text == "]" || t.text == "[" || t.text == ":" ||
-                  t.text == "*" || t.text == "&")))
-                continue;
-            return; // unexpected shape; not a field
-        }
     }
 };
 

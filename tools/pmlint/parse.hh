@@ -3,11 +3,9 @@
  * Pass 1: index one scanned translation unit into a TuIndex.
  *
  * Runs the per-file rules (rules.hh) for the raw finding list, then a
- * lightweight declaration walk — a scope stack over the token stream,
- * not a grammar — extracting the facts the link stage cross-references:
- * class/field tables, by-reference lambda captures at call sites,
- * EventFn-taking function names, queueFor() homing assignments,
- * barrier-hook classes, and writes inside Partitioned::post callbacks.
+ * lightweight token walk — not a grammar — extracting the facts the
+ * link stage cross-references: by-reference lambda captures at call
+ * sites and EventFn-taking function names.
  */
 
 #ifndef PM_PMLINT_PARSE_HH

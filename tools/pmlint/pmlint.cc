@@ -3,15 +3,14 @@
  * pmlint — simulator-aware static analysis for the PowerMANNA tree.
  *
  * The repo's most valuable verification asset is bit-for-bit run-to-run
- * determinism at any --kernel-threads count; pmlint statically fences
- * the hazard classes that have bitten (or nearly bitten) it, plus
- * event-kernel hygiene rules. v2 is a two-pass, cross-translation-unit
- * analyzer: pass 1 indexes every file into a compact project model
- * (per-file rule findings, class/field tables, lambda captures at
- * EventFn call sites, queueFor() homing, barrier hooks, includes);
- * pass 2 links all indexes and enforces the cross-TU rules —
- * dangling-capture, cross-partition-write, layering (include cycles
- * fatal), stale-annotation — then applies suppression annotations.
+ * determinism; pmlint statically fences the hazard classes that have
+ * bitten (or nearly bitten) it, plus event-kernel hygiene rules. It is
+ * a two-pass, cross-translation-unit analyzer: pass 1 indexes every
+ * file into a compact project model (per-file rule findings, lambda
+ * captures at EventFn call sites, EventFn sinks, includes); pass 2
+ * links all indexes and enforces the cross-TU rules — dangling-capture,
+ * layering (include cycles fatal), stale-annotation — then applies
+ * suppression annotations.
  * See DESIGN.md "Determinism & event-kernel rules" for each rule's
  * hazard, and tests/pmlint/ for one seeded violation per rule.
  *
@@ -46,10 +45,9 @@ constexpr const char *kUsage =
     "Two-pass simulator-aware lint for the PowerMANNA tree. Each root\n"
     "is a file or a directory walked recursively for .hh/.h/.cc/.cpp\n"
     "files; pass 1 indexes every file, pass 2 links the indexes and\n"
-    "enforces the cross-TU rules (dangling-capture,\n"
-    "cross-partition-write, layering, stale-annotation) on top of the\n"
-    "per-file rule set. See DESIGN.md \"Determinism & event-kernel\n"
-    "rules\".\n"
+    "enforces the cross-TU rules (dangling-capture, layering,\n"
+    "stale-annotation) on top of the per-file rule set. See DESIGN.md\n"
+    "\"Determinism & event-kernel rules\".\n"
     "\n"
     "options:\n"
     "  --jsonl            one JSON object per finding on stdout\n"

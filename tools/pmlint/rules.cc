@@ -305,11 +305,6 @@ checkStaticMutable(const SourceFile &f, Diags &out)
     }
 }
 
-// The old per-file `partition-shared` heuristic (flag every non-atomic
-// `mutable` member) lived here; it is replaced by the link stage's
-// ownership-aware cross-partition-write rule (link.cc), which knows
-// which partition's queue a callback actually runs on.
-
 // ---- R3a: include-guard naming. ---------------------------------------
 
 std::string

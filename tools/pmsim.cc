@@ -283,9 +283,6 @@ usage()
                  "       [--strict]  (soak delivery-contract failure\n"
                  "         panics with a forensic dump)\n"
                  "       [--dump-file PATH] [--stats]\n"
-                 "       [--kernel-threads N]  (partitioned parallel\n"
-                 "         event kernel; byte-identical for any N,\n"
-                 "         composes with --fault-* and --watchdog)\n"
                  "       [--sweep AXIS=LO:HI:STEP] [--jobs N]\n"
                  "         AXIS: bytes|count|nodes|clusters|fifo|ber;\n"
                  "         STEP: additive, or *F for a factor\n"
