@@ -1,10 +1,12 @@
-# Run one bench or example in a fresh working directory and byte-compare
-# its stdout against a stored golden file.
+# Run one bench, example or tool in a fresh working directory and
+# byte-compare its stdout against a stored golden file.
 #
-#   cmake -DBIN=<binary> -DGOLDEN=<file> -DWORKDIR=<dir> -P compare.cmake
+#   cmake -DBIN=<binary> [-DARGS=<arg;arg;...>] -DGOLDEN=<file>
+#         -DWORKDIR=<dir> -P compare.cmake
 #
-# Benches write BENCH_*.json into the current directory, so each binary
-# gets a directory of its own. stderr is not compared.
+# ARGS is an optional CMake list of command-line arguments. Benches
+# write BENCH_*.json into the current directory, so each run gets a
+# directory of its own. stderr is not compared.
 
 foreach(var BIN GOLDEN WORKDIR)
     if(NOT DEFINED ${var})
@@ -16,7 +18,7 @@ file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 set(actual "${WORKDIR}/stdout.txt")
 
-execute_process(COMMAND "${BIN}"
+execute_process(COMMAND "${BIN}" ${ARGS}
     WORKING_DIRECTORY "${WORKDIR}"
     OUTPUT_FILE "${actual}"
     RESULT_VARIABLE rc)
