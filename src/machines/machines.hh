@@ -72,8 +72,8 @@ node::NodeParams byName(const std::string &name);
 
 /**
  * True when `name` is a valid byName() argument. Callers that must
- * report errors instead of exiting (svc::JobSpec::parse) check this
- * first.
+ * report errors instead of exiting (pmsim's cli::Fields::machine)
+ * check this first.
  */
 bool isKnown(const std::string &name);
 

@@ -13,8 +13,8 @@
  *    paper's serialized broadcast snoop phase, or a sparse directory
  *    that sends targeted invalidations to actual sharers only).
  *
- * The enums travel through node::NodeParams, machines::, svc::JobSpec
- * and the pmsim CLI; the parse helpers return false on unknown names so
+ * The enums travel through node::NodeParams, machines:: and pmsim's
+ * cli::JobSpec; the parse helpers return false on unknown names so
  * callers can report diagnostics instead of exiting.
  */
 

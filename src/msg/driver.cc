@@ -154,10 +154,10 @@ void
 PmComm::postSend(unsigned dstNode, std::vector<std::uint64_t> payload,
                  std::function<void()> onDone, Addr srcAddr)
 {
-    if (payload.size() > 0xffff)
+    if (payload.size() > kMaxPayloadWords)
         pm_fatal("driver node%u: %zu-word payload exceeds the "
-                 "65535-word wire header length field",
-                 _nodeId, payload.size());
+                 "%u-word wire header length field",
+                 _nodeId, payload.size(), kMaxPayloadWords);
     TxPeer &peer = _tx[dstNode];
     if (peer.dead) {
         // The retry budget to this destination is already exhausted;
@@ -170,10 +170,10 @@ PmComm::postSend(unsigned dstNode, std::vector<std::uint64_t> payload,
         pm_panic("driver node%u: send to node %u after delivery failure",
                  _nodeId, dstNode);
     }
-    if (peer.unacked.size() >= 30000)
-        pm_fatal("driver node%u: over 30000 unacknowledged messages to "
+    if (peer.unacked.size() >= kMaxUnacked)
+        pm_fatal("driver node%u: over %u unacknowledged messages to "
                  "node %u (16-bit sequence space)",
-                 _nodeId, dstNode);
+                 _nodeId, kMaxUnacked, dstNode);
 
     const std::uint16_t seq = peer.nextSeq++;
     auto sp = std::make_shared<std::vector<std::uint64_t>>(

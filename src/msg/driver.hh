@@ -65,6 +65,16 @@
 
 namespace pm::msg {
 
+/** Largest payload one message carries: the header's 16-bit length. */
+inline constexpr unsigned kMaxPayloadWords = 0xffff;
+
+/**
+ * Most messages one sender may leave unacknowledged to one
+ * destination, which keeps the 16-bit circular sequence compare
+ * well-defined.
+ */
+inline constexpr unsigned kMaxUnacked = 30000;
+
 /** Software cost knobs of the user-level transport. */
 struct DriverCosts
 {

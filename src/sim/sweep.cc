@@ -28,6 +28,26 @@ struct Pool
     std::vector<Failure> failures;
 };
 
+/**
+ * Run one point's thunk under a PanicTrap on the calling thread.
+ * Returns false when a panic or exception was trapped, with `fail`
+ * carrying the point index, message and forensic dump.
+ */
+bool
+runTrapped(const Point &pt, PointThunk thunk, void *ctx, Failure &fail)
+{
+    PanicTrap trap;
+    try {
+        thunk(ctx, pt);
+        return true;
+    } catch (const PanicError &e) {
+        fail = Failure{pt.index, e.what(), e.dump()};
+    } catch (const std::exception &e) {
+        fail = Failure{pt.index, e.what(), ""};
+    }
+    return false;
+}
+
 void
 worker(Pool &pool)
 {
@@ -55,21 +75,6 @@ worker(Pool &pool)
 }
 
 } // namespace
-
-bool
-runTrapped(const Point &pt, PointThunk thunk, void *ctx, Failure &fail)
-{
-    PanicTrap trap;
-    try {
-        thunk(ctx, pt);
-        return true;
-    } catch (const PanicError &e) {
-        fail = Failure{pt.index, e.what(), e.dump()};
-    } catch (const std::exception &e) {
-        fail = Failure{pt.index, e.what(), ""};
-    }
-    return false;
-}
 
 std::vector<Failure>
 runRaw(std::size_t count, PointThunk thunk, void *ctx,

@@ -137,21 +137,6 @@ using PointThunk = void (*)(void *ctx, const Point &pt);
 std::vector<Failure> runRaw(std::size_t count, PointThunk thunk,
                             void *ctx, const Options &options);
 
-/**
- * Run one point's thunk under a PanicTrap on the calling thread — the
- * exact per-point isolation contract of the pool workers, reusable by
- * long-lived executors (the pmsimd job service) that schedule points
- * one at a time instead of as a fixed batch. The caller is expected to
- * run on a thread whose default Context is private to it (any thread
- * that never binds a foreign Context qualifies).
- *
- * @return true when the thunk completed; false when a panic or
- *         exception was trapped, with `fail` carrying the point index,
- *         message, and forensic dump.
- */
-bool runTrapped(const Point &pt, PointThunk thunk, void *ctx,
-                Failure &fail);
-
 } // namespace detail
 
 /**

@@ -7,9 +7,10 @@
  *  - Determinism: a sweep's per-point results (row strings AND the
  *    forensic dump each point's System would produce) are byte-equal
  *    whether the points run sequentially or on four threads.
- *  - Failure propagation: a panicking point surfaces as a Failure
- *    carrying that point's own message and forensic dump, while its
- *    sibling points complete normally.
+ *  - Failure propagation: a panicking point (an injected panic or a
+ *    watchdog trip) surfaces as a Failure carrying that point's own
+ *    message and forensic dump, while its sibling points complete
+ *    normally.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/jobspec.hh"
 #include "machines/machines.hh"
 #include "msg/probes.hh"
 #include "msg/system.hh"
@@ -231,6 +233,66 @@ TEST(Sweep, CompletedFlagsAllSetOnACleanRun)
         5, [](const sim::sweep::Point &pt) { return pt.index; }, opt);
     EXPECT_TRUE(report.ok());
     EXPECT_EQ(report.completedCount(), 5u);
+}
+
+TEST(Sweep, PanickingAndWedgedPointsIsolateFromSurvivors)
+{
+    // Four points on four workers: two healthy measurements, two jobs
+    // wedged behind a dead link with different virtual-time deadlines.
+    // The wedged points must each trip *their own* watchdog (distinct
+    // trip ticks prove the traps did not cross) and carry their own
+    // forensic dump, while the survivors' rows are byte-identical to
+    // solo runs.
+    std::string err;
+    cli::JobSpec healthy8;
+    ASSERT_TRUE(cli::JobSpec::parse({"--op", "latency", "--bytes", "8"},
+                                    healthy8, err));
+    cli::JobSpec healthy64;
+    ASSERT_TRUE(cli::JobSpec::parse(
+        {"--op", "unibw", "--bytes", "65536", "--count", "16"}, healthy64,
+        err));
+    cli::JobSpec wedge500;
+    ASSERT_TRUE(cli::JobSpec::parse(
+        {"--op", "soak", "--bytes", "256", "--count", "8",
+         "--fault-link-down", "0:1000000000", "--watchdog", "62.5",
+         "--watchdog-deadline", "500"},
+        wedge500, err))
+        << err;
+    cli::JobSpec wedge300 = wedge500;
+    wedge300.watchdogUs = 300.0 / 8.0;
+    wedge300.watchdogDeadlineUs = 300.0;
+
+    const std::string solo8 = cli::runPoint(healthy8);
+    const std::string solo64 = cli::runPoint(healthy64);
+
+    const std::vector<const cli::JobSpec *> specs{
+        &healthy8, &wedge500, &healthy64, &wedge300};
+    sim::sweep::Options opt;
+    opt.jobs = 4;
+    const auto report = sim::sweep::map(
+        specs,
+        [](const cli::JobSpec *spec, const sim::sweep::Point &) {
+            return cli::runPoint(*spec);
+        },
+        opt);
+
+    ASSERT_EQ(report.failures.size(), 2u);
+    EXPECT_EQ(report.failures[0].index, 1u);
+    EXPECT_EQ(report.failures[1].index, 3u);
+    EXPECT_NE(report.failures[0].message.find("watchdog tripped"),
+              std::string::npos);
+    EXPECT_NE(report.failures[0].message.find("tick 500000000"),
+              std::string::npos)
+        << report.failures[0].message;
+    EXPECT_NE(report.failures[1].message.find("tick 300000000"),
+              std::string::npos)
+        << report.failures[1].message;
+    for (const auto &f : report.failures)
+        EXPECT_NE(f.dump.find("=== health dump"), std::string::npos);
+
+    EXPECT_EQ(report.results[0], solo8);
+    EXPECT_EQ(report.results[2], solo64);
+    EXPECT_EQ(report.completedCount(), 2u);
 }
 
 TEST(Context, ScopeBindsAndRestoresCurrent)

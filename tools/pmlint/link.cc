@@ -57,8 +57,9 @@ checkDanglingCapture(const std::vector<TuIndex> &tus, Diags &out)
  * Allowed include edges between src/ layers, transitively closed
  * (DESIGN.md §8): sim is the base; net stacks on sim; ni on net;
  * fabric assembles ni+net; the node side stacks mem -> cpu -> node;
- * msg bridges both stacks; machines/earth sit on msg. A directory
- * missing from this table (tests, bench, tools fixtures) is unlayered.
+ * msg bridges both stacks; machines/earth sit on msg; cli (pmsim's
+ * flag parser) sits on machines. A directory missing from this table
+ * (tests, bench, tools fixtures) is unlayered.
  */
 const std::map<std::string, std::set<std::string>> &
 layerDeps()
@@ -78,7 +79,7 @@ layerDeps()
          {"sim", "net", "ni", "fabric", "mem", "cpu", "node", "msg"}},
         {"earth",
          {"sim", "net", "ni", "fabric", "mem", "cpu", "node", "msg"}},
-        {"svc",
+        {"cli",
          {"sim", "net", "ni", "fabric", "mem", "cpu", "node", "msg",
           "machines"}},
     };

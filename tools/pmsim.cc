@@ -21,11 +21,12 @@
  *   pmsim comm --op soak --count 256 --fault-ber 1e-6 \
  *              --sweep bytes=64:512:64 --jobs 4
  *
- * The comm flags are parsed by svc::JobSpec — the same specification
- * the pmsimd service accepts over its socket — so a job means exactly
- * the same thing typed here or submitted there. SIGINT drains
- * gracefully: in-flight points run to wire-quiescence, completed rows
- * (and --stats) are printed, and pmsim exits 130.
+ * Every subcommand reads its flags through cli::tokenize and the
+ * strict cli::Fields lookups (comm through cli::JobSpec), so an
+ * unknown flag or a malformed value is a usage error (exit 2) on all
+ * of them. SIGINT drains gracefully: in-flight points run to
+ * wire-quiescence, completed rows (and --stats) are printed, and
+ * pmsim exits 130.
  */
 
 #include <unistd.h>
@@ -33,18 +34,16 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli/jobspec.hh"
 #include "machines/machines.hh"
 #include "node/node.hh"
 #include "sim/logging.hh"
-#include "sim/parse.hh"
 #include "sim/sweep.hh"
-#include "svc/jobspec.hh"
 #include "workloads/runner.hh"
 
 namespace {
@@ -73,83 +72,71 @@ installSigint()
     sigaction(SIGINT, &sa, nullptr);
 }
 
-/** Minimal --key value / --key=value / --flag argument parser. */
-class Args
+void usage();
+
+/** Report a usage error in `cmd` and return the usage exit code. */
+int
+usageError(const char *cmd, const std::string &err)
 {
-  public:
-    Args(int argc, char **argv, int from)
-    {
-        for (int i = from; i < argc; ++i) {
-            std::string key = argv[i];
-            if (key.rfind("--", 0) != 0)
-                pm_fatal("unexpected argument '%s'", argv[i]);
-            key = key.substr(2);
-            const auto eq = key.find('=');
-            if (eq != std::string::npos) {
-                _kv[key.substr(0, eq)] = key.substr(eq + 1);
-            } else if (i + 1 < argc &&
-                       std::strncmp(argv[i + 1], "--", 2) != 0) {
-                _kv[key] = argv[++i];
-            } else {
-                _kv[key] = "";
-            }
-        }
-    }
-
-    bool has(const std::string &k) const { return _kv.count(k) > 0; }
-
-    std::string
-    str(const std::string &k, const std::string &dflt) const
-    {
-        auto it = _kv.find(k);
-        return it == _kv.end() ? dflt : it->second;
-    }
-
-    // Numeric lookups parse strictly: `--jobs garbage` or
-    // `--bytes 64k` is a usage error naming the flag, never a silent
-    // 0 or truncated prefix.
-
-    unsigned
-    num(const std::string &k, unsigned dflt) const
-    {
-        auto it = _kv.find(k);
-        if (it == _kv.end())
-            return dflt;
-        unsigned v = 0;
-        if (!sim::parse::u32(it->second.c_str(), v))
-            pm_fatal("--%s expects an unsigned number, got '%s'",
-                     k.c_str(), it->second.c_str());
-        return v;
-    }
-
-  private:
-    std::map<std::string, std::string> _kv;
-};
+    std::fprintf(stderr, "pmsim %s: %s\n", cmd, err.c_str());
+    usage();
+    return 2;
+}
 
 int
-cmdInfo(const Args &args)
+cmdInfo(const std::vector<std::string> &tokens)
 {
-    const auto cfg = machines::byName(args.str("machine", "powermanna"));
-    std::printf("%s\n", machines::describe(cfg).c_str());
+    static const std::set<std::string> known = {"machine"};
+    cli::FlagMap kv;
+    std::string err;
+    const cli::Fields f{kv, err};
+    std::string machine;
+    if (!cli::tokenize(tokens, known, kv, err) || !f.machine(machine))
+        return usageError("info", err);
+    std::printf("%s\n",
+                machines::describe(machines::byName(machine)).c_str());
     return 0;
 }
 
 int
-cmdNode(const Args &args)
+cmdNode(const std::vector<std::string> &tokens)
 {
-    node::NodeParams cfg =
-        machines::byName(args.str("machine", "powermanna"));
-    const unsigned cpus = args.num("cpus", 1);
+    static const std::set<std::string> known = {
+        "machine", "workload", "n", "transposed", "cpus", "rows",
+        "independent", "type", "minlog2", "maxlog2", "stats"};
+    cli::FlagMap kv;
+    std::string err;
+    const cli::Fields f{kv, err};
+    std::string machine;
+    unsigned cpus = 1;
+    unsigned n = 256;
+    unsigned rows = 24;
+    workloads::HintParams hp;
+    hp.minLog2m = 9;
+    hp.maxLog2m = 18;
+    if (!cli::tokenize(tokens, known, kv, err) || !f.machine(machine) ||
+        !f.num("cpus", cpus) || !f.num("n", n) || !f.num("rows", rows) ||
+        !f.num("minlog2", hp.minLog2m) || !f.num("maxlog2", hp.maxLog2m))
+        return usageError("node", err);
+    const std::string workload = f.str("workload", "matmult");
+    if (workload != "matmult" && workload != "hint")
+        return usageError("node", "unknown workload '" + workload +
+                                      "' (matmult|hint)");
+    const std::string type = f.str("type", "double");
+    if (type != "double" && type != "int")
+        return usageError("node", "--type expects double or int, got '" +
+                                      type + "'");
+    hp.type = type == "int" ? workloads::HintType::Int
+                            : workloads::HintType::Double;
+
+    node::NodeParams cfg = machines::byName(machine);
     if (cpus > cfg.numCpus)
         cfg.numCpus = cpus;
     node::Node node(cfg);
 
-    const std::string workload = args.str("workload", "matmult");
     if (workload == "matmult") {
-        const unsigned n = args.num("n", 256);
-        const bool transposed = args.has("transposed");
-        const unsigned rows = args.num("rows", 24);
-        const bool independent = args.has("independent");
+        const bool transposed = f.has("transposed");
+        const bool independent = f.has("independent");
         auto r = workloads::runMatMult(node, n, transposed, cpus, rows,
                                        independent);
         std::printf("matmult %s n=%u cpus=%u%s: %.1f MFLOPS "
@@ -157,25 +144,16 @@ cmdNode(const Args &args)
                     transposed ? "transposed" : "naive", n, cpus,
                     independent ? " independent" : "", r.mflops(),
                     ticksToUs(r.elapsed));
-    } else if (workload == "hint") {
-        workloads::HintParams hp;
-        hp.type = args.str("type", "double") == "int"
-                      ? workloads::HintType::Int
-                      : workloads::HintType::Double;
-        hp.minLog2m = args.num("minlog2", 9);
-        hp.maxLog2m = args.num("maxlog2", 18);
+    } else {
         auto pts = workloads::runHint(node, hp);
         std::printf("%12s %12s %12s\n", "wset", "QUIPS(M)", "us");
         for (const auto &p : pts)
             std::printf("%10lluKB %12.2f %12.1f\n",
                         (unsigned long long)(p.workingSetBytes / 1024),
                         p.quips() / 1e6, ticksToUs(p.elapsed));
-    } else {
-        pm_fatal("unknown workload '%s' (matmult|hint)",
-                 workload.c_str());
     }
 
-    if (args.has("stats")) {
+    if (f.has("stats")) {
         std::ostringstream os;
         node.stats().dump(os);
         std::fputs(os.str().c_str(), stdout);
@@ -183,36 +161,25 @@ cmdNode(const Args &args)
     return 0;
 }
 
-// ---- comm: the shared JobSpec drives everything. --------------------------
-
-void usage();
-
 int
-cmdComm(int argc, char **argv)
+cmdComm(const std::vector<std::string> &tokens)
 {
-    std::vector<std::string> tokens;
-    for (int i = 2; i < argc; ++i)
-        tokens.emplace_back(argv[i]);
-
-    svc::JobSpec spec;
+    cli::JobSpec spec;
     std::string err;
-    if (!svc::JobSpec::parse(tokens, spec, err)) {
-        std::fprintf(stderr, "pmsim comm: %s\n", err.c_str());
-        usage();
-        return 2;
-    }
+    if (!cli::JobSpec::parse(tokens, spec, err))
+        return usageError("comm", err);
 
     installSigint();
 
     if (!spec.haveSweep) {
-        // One point on the calling thread; a panic (watchdog trip,
-        // strict-soak failure) aborts with its dump, as ever.
-        const std::string row = svc::runPoint(spec);
+        // One point on the calling thread; a panic (a watchdog trip)
+        // aborts with its dump.
+        const std::string row = cli::runPoint(spec);
         std::fputs(row.c_str(), stdout);
         return gInterrupted.load() ? 130 : 0;
     }
 
-    svc::JobSpec base = spec;
+    cli::JobSpec base = spec;
     base.haveSweep = false;
     base.sweep = sim::parse::AxisSpec{};
 
@@ -225,9 +192,9 @@ cmdComm(int argc, char **argv)
         [&base, &spec](double v, const sim::sweep::Point &) {
             // The user's fault seed is kept per point, so every sweep
             // row is byte-identical to the same single-point run.
-            svc::JobSpec cfg = base;
+            cli::JobSpec cfg = base;
             cfg.applyAxisValue(spec.sweep.axis, v);
-            return svc::runPoint(cfg);
+            return cli::runPoint(cfg);
         },
         opt);
 
@@ -278,10 +245,6 @@ usage()
                  "       [--fault-ber P] [--fault-drop P]\n"
                  "       [--fault-seed S] [--fault-link-down FROM:TO]\n"
                  "       [--watchdog US] [--watchdog-deadline US]\n"
-                 "       [--deadline-us US]  (watchdog shorthand:\n"
-                 "         scan US/8, stall deadline US)\n"
-                 "       [--strict]  (soak delivery-contract failure\n"
-                 "         panics with a forensic dump)\n"
                  "       [--dump-file PATH] [--stats]\n"
                  "       [--sweep AXIS=LO:HI:STEP] [--jobs N]\n"
                  "         AXIS: bytes|count|nodes|clusters|fifo|ber;\n"
@@ -302,13 +265,13 @@ main(int argc, char **argv)
         return 2;
     }
     const std::string cmd = argv[1];
-    if (cmd == "comm")
-        return cmdComm(argc, argv);
-    Args args(argc, argv, 2);
+    const std::vector<std::string> tokens(argv + 2, argv + argc);
     if (cmd == "info")
-        return cmdInfo(args);
+        return cmdInfo(tokens);
     if (cmd == "node")
-        return cmdNode(args);
+        return cmdNode(tokens);
+    if (cmd == "comm")
+        return cmdComm(tokens);
     usage();
     return 2;
 }
