@@ -26,6 +26,10 @@
  * nonzero if an anchor drifts, if the directory fails to reduce
  * coherence-phase occupancy at 4 and 8 processors, or if MSI fails to
  * pay more upgrades than MESI.
+ *
+ * Each matrix entry is one pm::sim::sweep point with a node of its
+ * own; `--jobs N` runs the points on N threads, and the matrix prints
+ * after the join, byte-identically.
  */
 
 #include <cstdio>
@@ -40,6 +44,7 @@
 #include "msg/system.hh"
 #include "node/node.hh"
 #include "sim/logging.hh"
+#include "sweep_support.hh"
 
 namespace {
 
@@ -199,8 +204,9 @@ runPoint(unsigned cpus, mem::TransportKind transport,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    const auto opt = pm::benchsup::options(argc, argv);
     pm::setInformEnabled(false);
     using namespace pm;
 
@@ -227,23 +233,34 @@ main()
     std::printf("%5s %6s %5s %9s %9s %8s %9s %8s\n", "cpus", "transp",
                 "proto", "MB/s", "addr occ", "dir occ", "upgrades",
                 "probes");
-    std::vector<MatrixPoint> points;
-    for (const unsigned cpus : {2u, 4u, 8u}) {
+    struct Config
+    {
+        unsigned cpus;
+        mem::TransportKind transport;
+        mem::CoherenceKind coherence;
+    };
+    std::vector<Config> work;
+    for (const unsigned cpus : {2u, 4u, 8u})
         for (const mem::TransportKind tr :
-             {mem::TransportKind::Snoop, mem::TransportKind::Directory}) {
+             {mem::TransportKind::Snoop, mem::TransportKind::Directory})
             for (const mem::CoherenceKind coh :
-                 {mem::CoherenceKind::Mesi, mem::CoherenceKind::Msi}) {
-                points.push_back(runPoint(cpus, tr, coh));
-                const MatrixPoint &p = points.back();
-                std::printf("%5u %6s %5s %9.0f %8.0f%% %7.0f%% %9.0f "
-                            "%8.0f\n",
-                            p.cpus, mem::transportName(p.transport),
-                            mem::coherenceName(p.coherence), p.mbps,
-                            100.0 * p.addrOcc, 100.0 * p.dirOcc,
-                            p.upgrades, p.probes);
-            }
-        }
-    }
+                 {mem::CoherenceKind::Mesi, mem::CoherenceKind::Msi})
+                work.push_back(Config{cpus, tr, coh});
+    const auto report = sim::sweep::map(
+        work,
+        [](const Config &c, const sim::sweep::Point &) {
+            return runPoint(c.cpus, c.transport, c.coherence);
+        },
+        opt);
+    if (const int rc = benchsup::checkFailures(report))
+        return rc;
+    const std::vector<MatrixPoint> &points = report.results;
+    for (const MatrixPoint &p : points)
+        std::printf("%5u %6s %5s %9.0f %8.0f%% %7.0f%% %9.0f %8.0f\n",
+                    p.cpus, mem::transportName(p.transport),
+                    mem::coherenceName(p.coherence), p.mbps,
+                    100.0 * p.addrOcc, 100.0 * p.dirOcc, p.upgrades,
+                    p.probes);
 
     // ---- The claims the matrix must support. ----
     const auto find = [&points](unsigned cpus, mem::TransportKind tr,

@@ -18,6 +18,7 @@
 #include "msg/probes.hh"
 #include "msg/system.hh"
 #include "sim/logging.hh"
+#include "sweep_support.hh"
 
 namespace {
 
@@ -126,8 +127,12 @@ invokeCost(msg::System &sys)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    // One System carries state from each measurement into the next, so
+    // there is nothing to fan out; parsed so a stray argument is still
+    // an error.
+    (void)benchsup::options(argc, argv);
     setInformEnabled(false);
     msg::System sys(clusterParams());
 

@@ -10,6 +10,10 @@
  *  - SUN: ~1.9 (about 5% loss) for nontrivial matrices;
  *  - Pentium PC: ~1.7 naive / ~1.6 transposed (15/20% loss) — the
  *    circuit-switched front-side bus serializes whole transactions.
+ *
+ * Each (version, size, machine) speedup is one pm::sim::sweep point
+ * with a node of its own; `--jobs N` runs the points on N threads,
+ * and the tables print after the join, byte-identically.
  */
 
 #include <cstdio>
@@ -18,6 +22,7 @@
 #include "machines/machines.hh"
 #include "node/node.hh"
 #include "sim/logging.hh"
+#include "sweep_support.hh"
 #include "workloads/runner.hh"
 
 namespace {
@@ -29,16 +34,49 @@ const std::vector<unsigned> kSizes{64, 128, 256, 384, 512};
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    const auto opt = pm::benchsup::options(argc, argv);
     pm::setInformEnabled(false);
     using namespace pm;
 
-    std::vector<node::NodeParams> configs{machines::powerManna(),
-                                          machines::sunUltra1(),
-                                          machines::pentiumPc180()};
+    const std::vector<node::NodeParams> configs{machines::powerManna(),
+                                                machines::sunUltra1(),
+                                                machines::pentiumPc180()};
+    const std::vector<bool> versions{false, true}; // naive, transposed
 
-    for (bool transposed : {false, true}) {
+    // One point per (version, size, machine), in print order.
+    struct Run
+    {
+        bool transposed;
+        unsigned n;
+        const node::NodeParams *cfg;
+    };
+    std::vector<Run> work;
+    for (bool transposed : versions)
+        for (unsigned n : kSizes)
+            for (const auto &cfg : configs)
+                work.push_back(Run{transposed, n, &cfg});
+    const auto report = sim::sweep::map(
+        work,
+        [](const Run &r, const sim::sweep::Point &) {
+            node::Node node(*r.cfg);
+            auto r1 = workloads::runMatMult(node, r.n, r.transposed, 1,
+                                            kSampledRows);
+            auto r2 = workloads::runMatMult(node, r.n, r.transposed, 2,
+                                            kSampledRows,
+                                            /*independentCopies=*/true);
+            // Both processors run a full MatMult each (the paper's
+            // protocol): throughput speedup is aggregate MFLOPS over
+            // single-processor MFLOPS.
+            return r1.mflops() != 0.0 ? r2.mflops() / r1.mflops() : 0.0;
+        },
+        opt);
+    if (const int rc = benchsup::checkFailures(report))
+        return rc;
+
+    std::size_t next = 0;
+    for (bool transposed : versions) {
         std::printf("\n== Figure 8%s: dual-processor speedup, MatMult %s "
                     "==\n",
                     transposed ? "b" : "a",
@@ -50,21 +88,8 @@ main()
 
         for (unsigned n : kSizes) {
             std::printf("%8u", n);
-            for (const auto &cfg : configs) {
-                node::Node node(cfg);
-                auto r1 = workloads::runMatMult(node, n, transposed, 1,
-                                                kSampledRows);
-                auto r2 = workloads::runMatMult(node, n, transposed, 2,
-                                                kSampledRows,
-                                                /*independentCopies=*/true);
-                // Both processors run a full MatMult each (the paper's
-                // protocol): throughput speedup is aggregate MFLOPS
-                // over single-processor MFLOPS.
-                const double speedup = r1.mflops() != 0.0
-                    ? r2.mflops() / r1.mflops()
-                    : 0.0;
-                std::printf(" %14.2f", speedup);
-            }
+            for (std::size_t m = 0; m < configs.size(); ++m)
+                std::printf(" %14.2f", report.results[next++]);
             std::printf("\n");
         }
     }

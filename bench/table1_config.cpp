@@ -9,10 +9,13 @@
 
 #include "machines/machines.hh"
 #include "sim/logging.hh"
+#include "sweep_support.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    // Nothing to fan out; parsed so a stray argument is still an error.
+    (void)pm::benchsup::options(argc, argv);
     pm::setInformEnabled(false);
     using namespace pm;
 
