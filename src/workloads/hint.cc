@@ -8,12 +8,13 @@ namespace pm::workloads {
 
 Hint::Hint(const HintParams &params)
     : _p(params),
-      _log2m(params.minLog2m),
-      _m(1ull << params.minLog2m)
+      _log2m(params.minLog2m)
 {
-    if (_p.minLog2m == 0 || _p.minLog2m > _p.maxLog2m || _p.maxLog2m > 28)
+    if (_p.minLog2m == 0 || _p.minLog2m > _p.maxLog2m ||
+        _p.maxLog2m > kHintMaxLog2m)
         pm_fatal("Hint: bad size range [2^%u, 2^%u]", _p.minLog2m,
                  _p.maxLog2m);
+    _m = 1ull << _p.minLog2m; // Only once the shift is known in range.
 }
 
 std::string

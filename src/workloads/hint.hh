@@ -39,6 +39,13 @@ namespace pm::workloads {
 /** HINT arithmetic flavours (paper Figure 6a vs 6b). */
 enum class HintType { Double, Int };
 
+/**
+ * Largest HINT size: 2^28 subintervals (an 8 GB working set). Sizes
+ * run from 2^minLog2m to 2^maxLog2m with 1 <= minLog2m <= maxLog2m <=
+ * kHintMaxLog2m; Hint rejects any other range.
+ */
+inline constexpr unsigned kHintMaxLog2m = 28;
+
 /** Configuration of a HINT sweep. */
 struct HintParams
 {
@@ -85,7 +92,7 @@ class Hint : public cpu::Workload
 
     HintParams _p;
     unsigned _log2m;
-    std::uint64_t _m;
+    std::uint64_t _m = 0; //!< 2^_log2m, set once the range is checked.
     Phase _phase = Phase::Subdivide;
     std::uint64_t _index = 0; //!< Progress within the current phase.
     Tick _sizeStart = 0;

@@ -172,6 +172,26 @@ TEST(Hint, RejectsBadRange)
     EXPECT_EXIT(Hint{hp}, ::testing::ExitedWithCode(1), "bad size range");
 }
 
+TEST(Hint, AcceptsSizesUpToTheNamedBound)
+{
+    HintParams hp;
+    hp.minLog2m = kHintMaxLog2m;
+    hp.maxLog2m = kHintMaxLog2m;
+    const Hint top(hp); // Constructing runs nothing.
+    EXPECT_TRUE(top.points().empty());
+    hp.maxLog2m = kHintMaxLog2m + 1;
+    EXPECT_EXIT(Hint{hp}, ::testing::ExitedWithCode(1), "bad size range");
+}
+
+TEST(Hint, RejectsAShiftWiderThan64BitsBeforeShifting)
+{
+    // 1 << 64 is undefined; the range check must come first.
+    HintParams hp;
+    hp.minLog2m = 64;
+    hp.maxLog2m = 64;
+    EXPECT_EXIT(Hint{hp}, ::testing::ExitedWithCode(1), "bad size range");
+}
+
 TEST(MemStream, SweepsExactByteCount)
 {
     node::Node node(testNode());

@@ -126,6 +126,18 @@ cmdNode(const std::vector<std::string> &tokens)
     if (type != "double" && type != "int")
         return usageError("node", "--type expects double or int, got '" +
                                       type + "'");
+    // Range checks the workloads would otherwise pm_fatal on.
+    if (cpus == 0)
+        return usageError("node", "--cpus must be at least 1");
+    if (n == 0)
+        return usageError("node", "--n must be at least 1");
+    if (hp.minLog2m == 0 || hp.minLog2m > hp.maxLog2m ||
+        hp.maxLog2m > workloads::kHintMaxLog2m)
+        return usageError(
+            "node", "--minlog2 " + std::to_string(hp.minLog2m) +
+                        " --maxlog2 " + std::to_string(hp.maxLog2m) +
+                        ": HINT needs 1 <= minlog2 <= maxlog2 <= " +
+                        std::to_string(workloads::kHintMaxLog2m));
     hp.type = type == "int" ? workloads::HintType::Int
                             : workloads::HintType::Double;
 
@@ -234,7 +246,9 @@ usage()
                  "  info --machine M\n"
                  "  node --machine M --workload matmult|hint [--n N]\n"
                  "       [--transposed] [--cpus C] [--rows R]\n"
-                 "       [--independent] [--type double|int] [--stats]\n"
+                 "       [--independent] [--type double|int]\n"
+                 "       [--minlog2 L] [--maxlog2 H] [--stats]\n"
+                 "         (HINT sizes 2^L..2^H, 1 <= L <= H <= %u)\n"
                  "  comm [--machine M] [--nodes N] [--clusters K]\n"
                  "       [--coherence mesi|msi] [--replacement lru|srrip]\n"
                  "       [--transport snoop|dir]  (dir: sparse-directory\n"
@@ -251,7 +265,8 @@ usage()
                  "         STEP: additive, or *F for a factor\n"
                  "       SIGINT drains in-flight points to quiescence,\n"
                  "       prints completed rows, exits 130\n"
-                 "machines: powermanna sun pc180 pc266\n");
+                 "machines: powermanna sun pc180 pc266\n",
+                 workloads::kHintMaxLog2m);
 }
 
 } // namespace
