@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -150,6 +151,65 @@ BM_ResourceCalendarAcquire(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ResourceCalendarAcquire);
+
+/**
+ * The PIO/message path: one CPU appends beat after beat and nothing
+ * prunes, so the calendar grows until `range(0)` intervals, then is
+ * reset (untimed) and grows again. Every request lands at the tail,
+ * a few of them just before its end.
+ */
+void
+BM_ResourceCalendarTailGrowth(benchmark::State &state)
+{
+    const auto limit = static_cast<std::size_t>(state.range(0));
+    mem::Resource r;
+    sim::SplitMix64 rng(1);
+    Tick now = 0;
+    for (auto _ : state) {
+        const Tick start = r.acquire(now, 40);
+        benchmark::DoNotOptimize(start);
+        now = start + 40 - (rng.below(4) == 0 ? 10 : 0);
+        if (r.intervals() == limit) {
+            state.PauseTiming();
+            r.reset();
+            now = 0;
+            state.ResumeTiming();
+        }
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ResourceCalendarTailGrowth)->Arg(100000)->Arg(1000000);
+
+/**
+ * cpu::runJobs on a shared bus: `range(0)` CPUs, the one with the
+ * smallest local time prunes every calendar at that floor and then
+ * runs a chunk of 32 accesses ahead (address phase, then a DRAM bank);
+ * the others backfill behind it. One item is one access.
+ */
+void
+BM_ResourceCalendarChunkedBackfill(benchmark::State &state)
+{
+    const auto cpus = static_cast<std::size_t>(state.range(0));
+    constexpr unsigned kChunk = 32;
+    mem::Resource addr;
+    mem::BankedResource dram("dram", 4);
+    sim::SplitMix64 rng(1);
+    std::vector<Tick> local(cpus, 0);
+    for (auto _ : state) {
+        const auto cpu = static_cast<std::size_t>(
+            std::min_element(local.begin(), local.end()) - local.begin());
+        addr.pruneBelow(local[cpu]);
+        dram.pruneBelow(local[cpu]);
+        for (unsigned i = 0; i < kChunk; ++i) {
+            const Tick a = addr.acquire(local[cpu], 20);
+            const Tick d = dram.acquire(
+                static_cast<unsigned>(rng.below(4)), a + 20, 60);
+            local[cpu] = d + 60 + rng.below(200);
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * kChunk);
+}
+BENCHMARK(BM_ResourceCalendarChunkedBackfill)->Arg(2)->Arg(8);
 
 void
 BM_Crc32Words(benchmark::State &state)
