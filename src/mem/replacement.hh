@@ -7,6 +7,9 @@
  * (`touch`) and fills (`insert`) and asks for a victim way when a set
  * is full. Invalid ways are the cache's business: it fills the lowest-
  * index invalid way first and only consults the policy on a full set.
+ * Only multi-way caches hold a policy: a direct-mapped set's one way
+ * is always the victim, so `Cache` builds none at assoc 1 and the
+ * replacement kind has no effect there.
  *
  * Determinism contract: `victimWay` breaks every tie toward the lowest
  * way index, so replacement is deterministic by construction (not by

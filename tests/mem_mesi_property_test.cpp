@@ -45,7 +45,9 @@ struct TestNode
     explicit TestNode(unsigned numCpus,
                       CoherenceKind coh = CoherenceKind::Mesi,
                       TransportKind transport = TransportKind::Snoop,
-                      ReplacementKind repl = ReplacementKind::Lru)
+                      ReplacementKind repl = ReplacementKind::Lru,
+                      std::uint32_t l2Bytes = 8 * 1024, // tiny
+                      std::uint32_t l2Assoc = 2)
     {
         BusParams bp;
         bp.lineBytes = 64;
@@ -56,8 +58,8 @@ struct TestNode
             Hierarchy h;
             CacheParams l2p;
             l2p.name = "l2_" + std::to_string(c);
-            l2p.sizeBytes = 8 * 1024; // tiny: force evictions
-            l2p.assoc = 2;
+            l2p.sizeBytes = l2Bytes;
+            l2p.assoc = l2Assoc;
             l2p.lineSize = 64;
             l2p.hitCycles = 4;
             l2p.coherence = coh;
@@ -172,23 +174,47 @@ INSTANTIATE_TEST_SUITE_P(
 /**
  * The policy matrix: both protocols x both transports (x both
  * replacement policies, riding the seed axis cheaply) satisfy the
- * same invariants, and MSI additionally never mints Exclusive.
+ * same invariants, and MSI additionally never mints Exclusive. Each
+ * point runs over a 2-way L2 and over a direct-mapped one.
  */
 class PolicyProperty
     : public ::testing::TestWithParam<
           std::tuple<unsigned, unsigned, CoherenceKind, TransportKind>>
-{};
+{
+  protected:
+    /** Build the point's node around the given L2 and walk it. */
+    TestNode
+    walk(std::uint32_t l2Bytes, std::uint32_t l2Assoc)
+    {
+        const auto [seed, numCpus, coh, transport] = GetParam();
+        // Odd seeds run SRRIP so both replacement policies see the
+        // matrix without doubling the instantiation count.
+        const ReplacementKind repl =
+            seed % 2 ? ReplacementKind::Srrip : ReplacementKind::Lru;
+        TestNode node(numCpus, coh, transport, repl, l2Bytes, l2Assoc);
+        runRandomWalk(node, seed, numCpus,
+                      /*forbidExclusive=*/coh == CoherenceKind::Msi);
+        return node;
+    }
+};
 
 TEST_P(PolicyProperty, InvariantsHoldUnderRandomInterleavings)
 {
-    const auto [seed, numCpus, coh, transport] = GetParam();
-    // Odd seeds run SRRIP so both replacement policies see the matrix
-    // without doubling the instantiation count.
-    const ReplacementKind repl =
-        seed % 2 ? ReplacementKind::Srrip : ReplacementKind::Lru;
-    TestNode node(numCpus, coh, transport, repl);
-    runRandomWalk(node, seed, numCpus,
-                  /*forbidExclusive=*/coh == CoherenceKind::Msi);
+    walk(8 * 1024, 2);
+}
+
+/**
+ * The PowerMANNA L2 and both SUN levels are direct-mapped. 16 one-way
+ * sets against the walk's 24-line pool make the L2 evict, and so
+ * back-invalidate the L1, throughout the walk.
+ */
+TEST_P(PolicyProperty, InvariantsHoldWithADirectMappedL2)
+{
+    const TestNode node = walk(1024, 1);
+    double evictions = 0;
+    for (const Hierarchy &h : node.cpus)
+        evictions += h.l2->evictions.value();
+    EXPECT_GT(evictions, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
