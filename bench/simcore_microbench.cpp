@@ -111,6 +111,49 @@ BM_EventQueuePeriodicSteadyState(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueuePeriodicSteadyState)->Arg(64)->Arg(4096);
 
+/**
+ * The event mix measured on perfbench's `fabric_uniform`: about 85
+ * queued events, each of which schedules its component's next one,
+ * 29% at now() and the rest within 1 us; 8% of events also supersede
+ * (cancel and re-post) another component's pending event.
+ */
+void
+BM_EventQueueFabricMix(benchmark::State &state)
+{
+    constexpr int kComponents = 85;
+    constexpr std::size_t kDraws = 4096;
+    // Draw the stream up front so the generator stays out of the loop.
+    sim::SplitMix64 rng(1);
+    std::vector<Tick> delays(kDraws);
+    std::vector<int> victims(kDraws); // -1: supersede nothing
+    for (std::size_t i = 0; i < kDraws; ++i) {
+        delays[i] = rng.chance(0.29) ? 0 : 1 + rng.below(kTicksPerUs);
+        victims[i] = rng.chance(0.08)
+                         ? static_cast<int>(rng.below(kComponents))
+                         : -1;
+    }
+    sim::EventQueue q;
+    std::vector<EventHandle> next(kComponents);
+    std::size_t draw = 0;
+    std::function<void(int)> fire = [&](int c) {
+        const std::size_t d = draw++ % kDraws;
+        // pmlint: capture-ok(fire outlives the queue it is scheduled on)
+        next[c] = q.scheduleIn(delays[d], [&fire, c] { fire(c); });
+        const int v = victims[d];
+        if (v >= 0 && q.cancel(next[v]))
+            next[v] = q.scheduleIn(delays[(d + 1) % kDraws],
+                                   // pmlint: capture-ok(fire outlives the queue it is scheduled on)
+                                   [&fire, v] { fire(v); });
+    };
+    for (int c = 0; c < kComponents; ++c)
+        // pmlint: capture-ok(fire outlives the queue it is scheduled on)
+        next[c] = q.scheduleIn(delays[c], [&fire, c] { fire(c); });
+    for (auto _ : state)
+        benchmark::DoNotOptimize(q.step());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueFabricMix);
+
 /** A bus that grants every request 100 ns later. */
 struct NullBus : mem::BusTarget
 {

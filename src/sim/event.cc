@@ -1,10 +1,14 @@
 #include "sim/event.hh"
 
+#include <bit>
 #include <limits>
 
 #include "sim/logging.hh"
 
 namespace pm::sim {
+
+EventQueue::EventQueue() = default;
+EventQueue::~EventQueue() = default;
 
 std::uint32_t
 EventQueue::allocRecord()
@@ -31,6 +35,14 @@ EventQueue::freeRecord(std::uint32_t slot)
     _freeHead = slot;
 }
 
+inline void
+EventQueue::toBucket(const Entry &e)
+{
+    const int b = static_cast<int>(std::bit_width(e.when ^ _now)) - 1;
+    _buckets[b].push_back(e);
+    _bucketMask |= std::uint64_t{1} << b;
+}
+
 EventHandle
 EventQueue::schedule(Tick when, EventFn fn)
 {
@@ -43,7 +55,11 @@ EventQueue::schedule(Tick when, EventFn fn)
     rec.seq = seq;
     rec.state = Record::State::Pending;
     rec.fn = std::move(fn);
-    _heap.push(HeapEntry{when, seq, slot});
+    if (when == _now)
+        _due.push_back(slot);
+    else
+        toBucket(Entry{when, slot});
+    ++_pending;
     return EventHandle{slot, seq};
 }
 
@@ -60,39 +76,84 @@ EventQueue::cancel(EventHandle h)
         return false;
     rec.state = Record::State::Cancelled;
     rec.fn.reset(); // release captured resources eagerly
-    ++_cancelled;
+    --_pending;
     ++_cancelledTotal;
     return true;
 }
 
 bool
+EventQueue::advance(Tick limit)
+{
+    // Every tick in the lowest non-empty bucket is below every tick in
+    // the buckets above it, so the earliest pending event is there.
+    // Its tick becomes now(); the bucket's entries then differ from
+    // now() only in lower bits and move to the due list or to lower
+    // buckets, which are empty, in their stored order. A bucket is
+    // only ever filled by such a move while it is empty and by
+    // appends after it, so same-tick entries stay in schedule order.
+    while (_bucketMask != 0) {
+        const int b = std::countr_zero(_bucketMask);
+        std::vector<Entry> &bucket = _buckets[b];
+        // Tombstones never set the minimum: now() only moves to a tick
+        // that then executes.
+        bool found = false;
+        Tick next = kTickNever;
+        for (const Entry &e : bucket) {
+            if (_slab[e.slot].state == Record::State::Pending &&
+                e.when <= next) {
+                next = e.when;
+                found = true;
+            }
+        }
+        if (found && next > limit)
+            return false;
+        if (found)
+            _now = next;
+        for (const Entry &e : bucket) {
+            if (_slab[e.slot].state == Record::State::Cancelled)
+                freeRecord(e.slot);
+            else if (e.when == _now)
+                _due.push_back(e.slot);
+            else
+                toBucket(e);
+        }
+        bucket.clear();
+        _bucketMask &= ~(std::uint64_t{1} << b);
+        if (found)
+            return true;
+    }
+    return false;
+}
+
+bool
 EventQueue::step(Tick limit)
 {
-    while (!_heap.empty()) {
-        const HeapEntry top = _heap.top();
-        if (top.when > limit)
+    for (;;) {
+        if (_dueHead == _due.size()) {
+            _due.clear();
+            _dueHead = 0;
+            if (!advance(limit))
+                return false;
+            continue;
+        }
+        if (_now > limit)
             return false;
-        Record &rec = _slab[top.slot];
-        // Each record has exactly one heap entry, so the seqs always
-        // match here; the record is either pending or a tombstone.
+        const std::uint32_t slot = _due[_dueHead++];
+        Record &rec = _slab[slot];
         if (rec.state == Record::State::Cancelled) {
-            --_cancelled;
-            freeRecord(top.slot);
-            _heap.pop();
+            freeRecord(slot);
             continue;
         }
         // Move the callback out of the slab before running it: the
         // callback may schedule new events, which can grow the slab and
         // recycle this very slot.
         EventFn fn = std::move(rec.fn);
-        freeRecord(top.slot);
-        _heap.pop();
-        _now = top.when;
+        freeRecord(slot);
+        --_pending;
         ++_executed;
         fn();
         return true;
     }
-    return false;
 }
 
 std::size_t

@@ -8,24 +8,29 @@
  * scheduling (a deterministic tie-break that makes whole-system runs
  * reproducible bit-for-bit).
  *
- * Performance model: scheduling and cancelling are O(log n) / O(1) and
+ * Performance model: scheduling, cancelling and executing are
  * allocation-free in steady state. Event records live in a slab that is
  * recycled through a free list; callbacks are stored in a small-buffer
  * callable (EventFn) so the common component lambdas (captures of
- * `this` plus a few words) never touch the heap; the binary heap holds
- * only POD entries, so sift operations move 24 bytes, not a
- * std::function. Cancellation tombstones the slab record in O(1) and
- * the entry is dropped lazily when it surfaces at the top of the heap.
+ * `this` plus a few words) never touch the heap. The queue itself is a
+ * monotone radix queue based at now(): a due list holds the events at
+ * now() in schedule order, and 64 buckets hold the later ones, each by
+ * the highest bit in which its tick differs from now(). Scheduling is
+ * one append; an event moves down at most 64 buckets before it runs,
+ * and nothing ever compares sequence numbers — each bucket keeps
+ * same-tick events in schedule order by construction. Entries are
+ * 16-byte `{when, slot}` pairs. Cancellation tombstones the slab record
+ * in O(1); the record is freed when its entry next moves.
  */
 
 #ifndef PM_SIM_EVENT_HH
 #define PM_SIM_EVENT_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -239,7 +244,10 @@ class EventHandle
 class EventQueue
 {
   public:
-    EventQueue() = default;
+    // Out of line: building and tearing down 64 bucket vectors is code
+    // that every owner would otherwise inline.
+    EventQueue();
+    ~EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -284,10 +292,7 @@ class EventQueue
     }
 
     /** Number of pending (non-cancelled) events. */
-    [[nodiscard]] std::size_t pending() const
-    {
-        return _heap.size() - _cancelled;
-    }
+    [[nodiscard]] std::size_t pending() const { return _pending; }
 
     /** True when no runnable events remain. */
     [[nodiscard]] bool empty() const { return pending() == 0; }
@@ -318,7 +323,7 @@ class EventQueue
     /**
      * Count Pending slab records by walking the whole slab — O(slab).
      * An audit-time cross-check against pending(): the two disagreeing
-     * means the heap and the slab have lost track of each other. Not
+     * means the queue and the slab have lost track of each other. Not
      * for hot paths.
      */
     std::size_t liveRecords() const;
@@ -330,7 +335,7 @@ class EventQueue
         enum class State : std::uint8_t {
             Free, //!< On the free list; seq is the *last* occupant's.
             Pending, //!< Scheduled, will run unless cancelled.
-            Cancelled, //!< Tombstone; dropped when it surfaces.
+            Cancelled, //!< Tombstone; freed when its entry next moves.
         };
 
         std::uint64_t seq = 0;
@@ -341,36 +346,47 @@ class EventQueue
     static_assert(sizeof(Record) <= 64,
                   "slab records should fit one cache line");
 
-    /** POD heap entry; the callback stays in the slab. */
-    struct HeapEntry
+    /** Queue entry; the callback and the seq stay in the slab. */
+    struct Entry
     {
         Tick when;
-        std::uint64_t seq; //!< FIFO tie-break.
         std::uint32_t slot;
     };
+    static_assert(sizeof(Entry) == 16, "queue entries should be 16 bytes");
 
-    struct Later
-    {
-        bool
-        operator()(const HeapEntry &a, const HeapEntry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
+    /** Buckets for ticks after now(), by highest differing bit. */
+    static constexpr int kBuckets = 64;
 
     static constexpr std::uint32_t kNoFree = 0xffffffffu;
 
     std::uint32_t allocRecord();
     void freeRecord(std::uint32_t slot);
 
+    /**
+     * Queue `e` (when > now()) in the bucket its tick falls in. Forced
+     * inline: GCC otherwise leaves one of its two hot callers calling it.
+     */
+    __attribute__((always_inline)) void toBucket(const Entry &e);
+
+    /**
+     * Move now() to the earliest pending tick if it is <= limit and
+     * refill the due list from that tick's bucket.
+     * @return false, with nothing changed but freed tombstones, when no
+     *         pending event is due by `limit`.
+     */
+    bool advance(Tick limit);
+
     Tick _now = 0;
     std::uint64_t _nextSeq = 1; //!< 0 is reserved for invalid handles.
     std::uint64_t _executed = 0;
     std::uint64_t _cancelledTotal = 0;
-    std::size_t _cancelled = 0; //!< Tombstones still in the heap.
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> _heap;
+    std::size_t _pending = 0; //!< Scheduled, not yet run or cancelled.
+    /** Slots of the events at now(), in schedule order, from _dueHead. */
+    std::vector<std::uint32_t> _due;
+    std::size_t _dueHead = 0;
+    /** Bucket b holds ticks whose highest bit differing from now() is b. */
+    std::array<std::vector<Entry>, kBuckets> _buckets;
+    std::uint64_t _bucketMask = 0; //!< Bit b set iff bucket b is non-empty.
     std::vector<Record> _slab;
     std::uint32_t _freeHead = kNoFree;
 };

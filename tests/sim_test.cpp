@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/clock.hh"
@@ -286,6 +290,355 @@ TEST(EventQueue, StepExecutesExactlyOne)
     EXPECT_TRUE(q.step());
     EXPECT_EQ(fired, 2);
     EXPECT_FALSE(q.step());
+}
+
+TEST(EventQueue, CancelledTickDoesNotMoveTheBase)
+{
+    // The queue files later events by how their tick differs from
+    // now(), so now() must be the only base. A base that ran ahead to
+    // the cancelled tick 40 while run(50) drained it would misfile the
+    // tick-20 event scheduled next and run the new tick-40 one first.
+    EventQueue q;
+    std::vector<int> order;
+    (void)q.schedule(10, [&] { order.push_back(10); });
+    auto h = q.schedule(40, [&] { order.push_back(-40); });
+    (void)q.schedule(90, [&] { order.push_back(90); });
+    EXPECT_TRUE(q.cancel(h));
+    EXPECT_EQ(q.run(50), 1u);
+    EXPECT_EQ(q.now(), 10u);
+    (void)q.schedule(20, [&] { order.push_back(20); });
+    (void)q.schedule(40, [&] { order.push_back(40); });
+    EXPECT_EQ(q.run(), 3u);
+    EXPECT_EQ(order, (std::vector<int>{10, 20, 40, 90}));
+    EXPECT_EQ(q.now(), 90u);
+}
+
+/**
+ * The binary-heap kernel's order, kept as the oracle of EventQueue:
+ * the pending events are (when, seq) pairs in a std::set, and the next
+ * event is always its first element.
+ */
+class OracleQueue
+{
+  public:
+    Tick now() const { return _now; }
+    std::size_t pending() const { return _pending.size(); }
+    std::uint64_t executed() const { return _executed; }
+    std::uint64_t cancelledTotal() const { return _cancelledTotal; }
+
+    /** @return The new event's seq, numbered like EventHandle::id(). */
+    std::uint64_t
+    schedule(Tick when)
+    {
+        _when.push_back(when);
+        const std::uint64_t seq = _when.size();
+        _pending.emplace(when, seq);
+        return seq;
+    }
+
+    bool
+    scheduled(std::uint64_t seq) const
+    {
+        return seq != 0 && seq <= _when.size() &&
+               _pending.count({_when[seq - 1], seq}) != 0;
+    }
+
+    bool
+    cancel(std::uint64_t seq)
+    {
+        if (!scheduled(seq))
+            return false;
+        _pending.erase({_when[seq - 1], seq});
+        ++_cancelledTotal;
+        return true;
+    }
+
+    /** Pop the next event due by `limit`: its seq, or 0 if none is. */
+    std::uint64_t
+    step(Tick limit)
+    {
+        if (_pending.empty() || _pending.begin()->first > limit)
+            return 0;
+        const auto [when, seq] = *_pending.begin();
+        _pending.erase(_pending.begin());
+        _now = when;
+        ++_executed;
+        return seq;
+    }
+
+  private:
+    Tick _now = 0;
+    std::uint64_t _executed = 0;
+    std::uint64_t _cancelledTotal = 0;
+    std::vector<Tick> _when; //!< Indexed by seq - 1.
+    std::set<std::pair<Tick, std::uint64_t>> _pending;
+};
+
+/**
+ * Applies every operation to an EventQueue and to the oracle, and
+ * fails the running test at the first observable difference: the
+ * executed event, now(), pending(), executed(), cancelledTotal() and
+ * scheduled() of the most recent handles, compared after every
+ * operation and inside every callback.
+ */
+class DiffHarness
+{
+  public:
+    /** Runs inside each event's callback, after the comparison. */
+    using React = std::function<void(DiffHarness &)>;
+
+    explicit DiffHarness(std::uint64_t seed, React react = {})
+        : rng(seed), _react(std::move(react))
+    {}
+
+    sim::SplitMix64 rng;
+
+    bool ok() const { return !_failed; }
+    Tick now() const { return _o.now(); }
+    std::size_t pending() const { return _o.pending(); }
+
+    void
+    schedule(Tick when)
+    {
+        const std::uint64_t seq = _o.schedule(when);
+        const sim::EventHandle h =
+            _q.schedule(when, [this, seq] { fire(seq); });
+        if (h.id() != seq)
+            fail("schedule: handle id");
+        remember(h);
+        check("schedule");
+    }
+
+    /** Schedule `delta` after now(), capped at kTickNever - 1. */
+    void
+    scheduleIn(Tick delta)
+    {
+        schedule(now() + std::min(delta, kTickNever - 1 - now()));
+    }
+
+    /** Cancel one of the recent handles, pending or not. */
+    void
+    cancelRandom()
+    {
+        if (_handles.empty())
+            return;
+        const sim::EventHandle h = _handles[rng.below(_handles.size())];
+        if (_q.cancel(h) != _o.cancel(h.id()))
+            fail("cancel: result");
+        check("cancel");
+    }
+
+    /** Cancel one of the recent handles if pending, and post it anew. */
+    void
+    supersede(Tick delta)
+    {
+        if (_handles.empty())
+            return;
+        const sim::EventHandle h = _handles[rng.below(_handles.size())];
+        if (!_o.scheduled(h.id()))
+            return;
+        if (!_q.cancel(h) || !_o.cancel(h.id()))
+            fail("supersede: cancel");
+        check("supersede");
+        scheduleIn(delta);
+    }
+
+    bool
+    step(Tick limit = kTickNever)
+    {
+        _limit = limit;
+        _fired = 0;
+        const bool ran = _q.step(limit);
+        if (ran != (_fired != 0))
+            fail("step: result");
+        if (!ran && _o.step(limit) != 0)
+            fail("step: oracle had a due event");
+        check("step");
+        return ran;
+    }
+
+    void
+    run(Tick limit = kTickNever)
+    {
+        _limit = limit;
+        _fired = 0;
+        const std::uint64_t n = _q.run(limit);
+        if (n != _fired)
+            fail("run: count");
+        if (_o.step(limit) != 0)
+            fail("run: oracle had a due event");
+        check("run");
+    }
+
+  private:
+    static constexpr std::size_t kWindow = 128;
+
+    void
+    fire(std::uint64_t seq)
+    {
+        ++_fired;
+        if (_o.step(_limit) != seq)
+            fail("executed event");
+        check("callback");
+        if (_react && ok())
+            _react(*this);
+    }
+
+    void
+    remember(sim::EventHandle h)
+    {
+        if (_handles.size() < kWindow)
+            _handles.push_back(h);
+        else
+            _handles[_nextHandle++ % kWindow] = h;
+    }
+
+    void
+    check(const char *op)
+    {
+        if (_q.now() != _o.now())
+            fail(op, "now()");
+        else if (_q.pending() != _o.pending())
+            fail(op, "pending()");
+        else if (_q.executed() != _o.executed())
+            fail(op, "executed()");
+        else if (_q.cancelledTotal() != _o.cancelledTotal())
+            fail(op, "cancelledTotal()");
+        for (const sim::EventHandle &h : _handles)
+            if (_q.scheduled(h) != _o.scheduled(h.id()))
+                fail(op, "scheduled()");
+    }
+
+    void
+    fail(const char *op, const char *what = "")
+    {
+        if (!_failed)
+            ADD_FAILURE() << "queue and oracle differ after " << op << ' '
+                          << what << " (oracle now " << _o.now()
+                          << ", executed " << _o.executed() << ")";
+        _failed = true;
+    }
+
+    EventQueue _q;
+    OracleQueue _o;
+    React _react;
+    Tick _limit = kTickNever;
+    std::uint64_t _fired = 0; //!< Callbacks run by the current call.
+    std::vector<sim::EventHandle> _handles;
+    std::size_t _nextHandle = 0;
+    bool _failed = false;
+};
+
+constexpr std::uint64_t kDiffSeeds = 8;
+
+TEST(EventQueueDiff, SameTickBurstsWithCancels)
+{
+    for (std::uint64_t seed = 1; seed <= kDiffSeeds; ++seed) {
+        SCOPED_TRACE(seed);
+        DiffHarness h(seed, [](DiffHarness &d) {
+            if (d.rng.chance(0.3))
+                d.schedule(d.now()); // same tick, from inside a callback
+        });
+        static constexpr Tick kOffsets[] = {0, 0, 1, 2, 3, 1000, 4096};
+        for (int round = 0; round < 300 && h.ok(); ++round) {
+            const Tick at = h.now() + kOffsets[h.rng.below(7)];
+            for (std::uint64_t i = 1 + h.rng.below(12); i > 0; --i)
+                h.schedule(at);
+            for (std::uint64_t i = h.rng.below(5); i > 0; --i)
+                h.cancelRandom();
+            for (std::uint64_t i = 1 + h.rng.below(8); i > 0; --i)
+                h.step();
+        }
+        h.run();
+        EXPECT_EQ(h.pending(), 0u);
+    }
+}
+
+TEST(EventQueueDiff, FabricMix)
+{
+    // The measured fabric_uniform stream: 29% of events are scheduled
+    // at now(), the rest within 1 us, and 8% supersede (cancel and
+    // re-post) a pending event, around 85 queued events.
+    const auto delay = [](DiffHarness &d) -> Tick {
+        return d.rng.chance(0.29) ? 0 : 1 + d.rng.below(kTicksPerUs);
+    };
+    for (std::uint64_t seed = 1; seed <= kDiffSeeds; ++seed) {
+        SCOPED_TRACE(seed);
+        DiffHarness h(seed, [&delay](DiffHarness &d) {
+            d.scheduleIn(delay(d));
+            if (d.rng.chance(0.08))
+                d.supersede(delay(d));
+        });
+        for (int i = 0; i < 85; ++i)
+            h.scheduleIn(delay(h));
+        for (int i = 0; i < 4000 && h.ok(); ++i)
+            ASSERT_TRUE(h.step());
+        EXPECT_EQ(h.pending(), 85u);
+        h.run(h.now() + kTicksPerUs / 2);
+    }
+}
+
+TEST(EventQueueDiff, FarFutureTicks)
+{
+    // Ticks up to kTickNever - 1: anything at or past 2^63 sits in the
+    // top bucket until now() crosses 2^63.
+    for (std::uint64_t seed = 1; seed <= kDiffSeeds; ++seed) {
+        SCOPED_TRACE(seed);
+        DiffHarness h(seed);
+        for (int op = 0; op < 3000 && h.ok(); ++op) {
+            const std::uint64_t pick = h.rng.below(10);
+            if (pick < 3)
+                h.scheduleIn(h.rng.below(100));
+            else if (pick == 3)
+                h.scheduleIn(0);
+            else if (pick == 4)
+                h.scheduleIn(h.rng.next());
+            else if (pick == 5)
+                h.schedule(kTickNever - 1);
+            else if (pick == 6)
+                h.schedule(std::max(
+                    h.now(), (Tick{1} << 63) +
+                                 h.rng.below((Tick{1} << 63) - 1)));
+            else if (pick == 7)
+                h.cancelRandom();
+            else
+                h.step();
+        }
+        h.run();
+        EXPECT_EQ(h.pending(), 0u);
+    }
+}
+
+TEST(EventQueueDiff, StepAndRunStops)
+{
+    // run(limit) and step(limit) stop short of later events, with
+    // limits ahead of, at and behind now(); schedules and cancels go in
+    // between the calls.
+    for (std::uint64_t seed = 1; seed <= kDiffSeeds; ++seed) {
+        SCOPED_TRACE(seed);
+        DiffHarness h(seed);
+        const auto limit = [&h] {
+            const Tick ahead = h.now() + h.rng.below(3000);
+            return ahead < 1000 ? 0 : ahead - 1000;
+        };
+        for (int op = 0; op < 3000 && h.ok(); ++op) {
+            const std::uint64_t pick = h.rng.below(10);
+            if (pick < 4)
+                h.scheduleIn(h.rng.chance(0.2) ? 0 : h.rng.below(2000));
+            else if (pick < 6)
+                h.cancelRandom();
+            else if (pick < 8)
+                h.step(limit());
+            else if (pick == 8)
+                h.run(limit());
+            else if (h.rng.chance(0.1))
+                h.run();
+            else
+                h.step();
+        }
+        h.run();
+        EXPECT_EQ(h.pending(), 0u);
+    }
 }
 
 TEST(ClockDomain, PeriodsAreRoundedPicoseconds)
