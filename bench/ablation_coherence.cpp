@@ -9,9 +9,9 @@
  *  1. Anchor guard — the default configuration (2-way MESI/LRU node
  *     under broadcast snooping) must still reproduce the paper: Fig 9
  *     (2.746 us one-way latency at 8 B), Fig 11 (59.9 MB/s unidir at
- *     16 KB), Fig 12 (85.7 MB/s bidir at 64 KB), each within 1%. The
- *     policy seams are refactoring, not remodelling; drift here is a
- *     bug, and the exit code says so.
+ *     16 KB), Fig 12 (85.7 MB/s bidir at 64 KB), each within 1%. MSI
+ *     and the directory sit beside the paper's node and must not move
+ *     it; drift here is a bug, and the exit code says so.
  *
  *  2. The matrix — every node runs the same mixed workload (streaming
  *     misses + private read-modify-write + a read-shared block) on the

@@ -186,6 +186,34 @@ BM_CacheHitAccess(benchmark::State &state)
 BENCHMARK(BM_CacheHitAccess);
 
 /**
+ * The miss path at associativity `range(0)`: stores round-robin over
+ * assoc+1 lines of one set, so every access picks the LRU victim of a
+ * full set, writes it back dirty and fills its way.
+ */
+void
+BM_CacheConflictMiss(benchmark::State &state)
+{
+    NullBus bus;
+    mem::CacheParams p;
+    p.sizeBytes = 32 * 1024;
+    p.assoc = static_cast<std::uint32_t>(state.range(0));
+    p.lineSize = 64;
+    mem::Cache cache(p, &bus);
+    const Addr stride = Addr(cache.numSets()) * p.lineSize; // one set
+    const Addr lines = p.assoc + 1;
+    Addr i = 0;
+    Tick t = 0;
+    for (auto _ : state) {
+        auto r = cache.access(mem::MemReq{i * stride, true, 0}, t);
+        benchmark::DoNotOptimize(r);
+        i = i + 1 == lines ? 0 : i + 1;
+        t += 1000;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheConflictMiss)->Arg(1)->Arg(4)->Arg(8);
+
+/**
  * Per-point machine construction: build one processor's L1/L2 pair of
  * the `range(0)`-th Table-1 node, then reset it the way Node::reset()
  * does. Every Fig 9-12 point builds 16 PowerMANNA pairs (8 nodes of 2

@@ -53,7 +53,7 @@ knownKeys()
 {
     static const std::set<std::string> k = {
         "machine", "clusters", "nodes", "uplinks", "fifo",
-        "coherence", "replacement", "transport", "node-cpus",
+        "coherence", "transport", "node-cpus",
         "fault-ber", "fault-drop", "fault-seed", "fault-link-down",
         "watchdog", "watchdog-deadline", "dump-file",
         "src", "dst", "bytes", "count", "op", "seed", "stats",
@@ -217,12 +217,6 @@ JobSpec::parse(const std::vector<std::string> &tokens, JobSpec &out,
         f.str("coherence", mem::coherenceName(out.coherence));
     if (!mem::parseCoherence(coh, out.coherence)) {
         err = "--coherence expects msi or mesi, got '" + coh + "'";
-        return false;
-    }
-    const std::string repl =
-        f.str("replacement", mem::replacementName(out.replacement));
-    if (!mem::parseReplacement(repl, out.replacement)) {
-        err = "--replacement expects lru or srrip, got '" + repl + "'";
         return false;
     }
     const std::string tr =
@@ -414,7 +408,6 @@ runPoint(const JobSpec &spec)
     msg::SystemParams sp;
     sp.node = machines::byName(spec.machine);
     sp.node.coherence = spec.coherence;
-    sp.node.replacement = spec.replacement;
     sp.node.transport = spec.transport;
     if (spec.nodeCpus != 0)
         sp.node.numCpus = spec.nodeCpus;

@@ -107,7 +107,6 @@ struct JobSpec
 
     // Memory-hierarchy policies (DESIGN.md §14).
     mem::CoherenceKind coherence = mem::CoherenceKind::Mesi;
-    mem::ReplacementKind replacement = mem::ReplacementKind::Lru;
     mem::TransportKind transport = mem::TransportKind::Snoop;
     unsigned nodeCpus = 0; //!< 0 = the machine's own processor count.
 

@@ -1,6 +1,7 @@
 #include "mem/bus.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -12,41 +13,39 @@ NodeBus::NodeBus(const BusParams &bp, const DramParams &dp, unsigned numCpus)
       _clk(bp.clockMhz),
       _addrTicks(_clk.cycles(bp.addrCycles)),
       _snoopTicks(_clk.cycles(bp.snoopCycles)),
+      _dirLookupTicks(_clk.cycles(bp.dirLookupCycles)),
       _dram(dp.name, dp.banks),
       _caches(numCpus, nullptr),
+      _dirBanks("dir",
+                bp.transport == TransportKind::Directory ? bp.dirBanks : 0),
       _stats(bp.name)
 {
+    const char *name = bp.name.c_str();
     if (numCpus == 0)
-        pm_fatal("bus %s: need at least one CPU port", bp.name.c_str());
+        pm_fatal("bus %s: need at least one CPU port", name);
+    if (dp.banks == 0)
+        pm_fatal("bus %s: DRAM %s needs at least one bank", name,
+                 dp.name.c_str());
     if (bp.dataWidthBytes == 0 || bp.lineBytes % bp.dataWidthBytes != 0)
         pm_fatal("bus %s: line size must be a multiple of the data width",
-                 bp.name.c_str());
-    if (bp.transport == TransportKind::Directory && !bp.splitTransactions)
-        pm_fatal("bus %s: a directory transport needs a split-transaction "
-                 "bus (a circuit-switched master holds the broadcast "
-                 "phase by construction)",
-                 bp.name.c_str());
+                 name);
+    if (bp.transport == TransportKind::Directory) {
+        if (!bp.splitTransactions)
+            pm_fatal("bus %s: a directory transport needs a "
+                     "split-transaction bus (a circuit-switched master "
+                     "holds the broadcast phase by construction)",
+                     name);
+        if (numCpus > 64)
+            pm_fatal("bus %s: a directory's sharer vector holds at most "
+                     "64 CPUs, got %u",
+                     name, numCpus);
+        if (bp.dirBanks == 0)
+            pm_fatal("bus %s: a directory needs at least one bank", name);
+    }
     const Cycles beatsPerLine = bp.lineBytes / bp.dataWidthBytes;
     _lineDataTicks = _clk.cycles(beatsPerLine);
     _beatTicks = _clk.cycles(1);
     _cpuPorts.resize(numCpus);
-
-    TransportHooks hooks;
-    hooks.caches = &_caches;
-    hooks.addrPhase = &_addrPhase;
-    hooks.addrWait = &addrWait;
-    hooks.snoopProbes = &snoopProbes;
-    hooks.dirLookups = &dirLookups;
-    hooks.targetedInvals = &targetedInvals;
-    hooks.addrBusyTicks = &addrBusyTicks;
-    hooks.dirBusyTicks = &dirBusyTicks;
-    TransportTiming timing;
-    timing.addrTicks = _addrTicks;
-    timing.snoopTicks = _snoopTicks;
-    timing.dirLookupTicks = _clk.cycles(bp.dirLookupCycles);
-    timing.dirBanks = bp.dirBanks;
-    timing.lineBytes = bp.lineBytes;
-    _transport = makeTransport(bp.transport, hooks, timing);
 
     _stats.add(&transactions);
     _stats.add(&c2cTransfers);
@@ -87,13 +86,127 @@ NodeBus::setTimeFloor(Tick floor)
     _memPort.pruneBelow(floor);
     _ioPort.pruneBelow(floor);
     _dram.pruneBelow(floor);
-    _transport->pruneBelow(floor);
+    _dirBanks.pruneBelow(floor);
 }
 
 std::uint64_t
 NodeBus::directorySharers(Addr lineAddr) const
 {
-    return _transport->sharers(lineAddr & ~Addr(_bp.lineBytes - 1));
+    auto it = _sharers.find(lineAddr & ~Addr(_bp.lineBytes - 1));
+    return it == _sharers.end() ? 0 : it->second;
+}
+
+SnoopResult
+NodeBus::probePeer(unsigned cpu, Addr lineAddr, bool exclusive,
+                   ProbeOutcome &po)
+{
+    ++po.probes;
+    ++snoopProbes;
+    const SnoopResult sr = _caches[cpu]->snoop(lineAddr, exclusive);
+    if (sr.dirtySupplied) {
+        po.dirtyOwner = true;
+        po.owner = static_cast<int>(cpu);
+    }
+    po.sharedByOthers |= sr.present;
+    return sr;
+}
+
+/*
+ * The sparse directory is conservative, never wrong: caches drop clean
+ * lines without telling anyone, so a tracked sharer may no longer hold
+ * the line. A lone tracked sharer is probed anyway (it may hold the
+ * line Exclusive or Modified and must downgrade or supply dirty data)
+ * and pruned if the probe misses; with two or more tracked sharers
+ * every real copy is provably Shared — a grant of E would have
+ * collapsed the sharer set first — so reads are answered from the
+ * directory without probing anyone, at worst granting Shared where
+ * Exclusive was possible.
+ */
+NodeBus::ProbeOutcome
+NodeBus::probe(const BusReq &req)
+{
+    ProbeOutcome po;
+    if (_bp.transport == TransportKind::Snoop) {
+        if (req.type == TxType::Writeback)
+            return po;
+        const bool exclusive = req.type != TxType::ReadShared;
+        for (unsigned c = 0; c < _caches.size(); ++c) {
+            if (static_cast<int>(c) != req.srcCpu && _caches[c])
+                probePeer(c, req.lineAddr, exclusive, po);
+        }
+        return po;
+    }
+
+    const std::uint64_t srcBit =
+        req.srcCpu >= 0 ? (std::uint64_t(1) << unsigned(req.srcCpu)) : 0;
+    if (req.type == TxType::Writeback) {
+        // The writer is dropping its (Modified) copy.
+        auto it = _sharers.find(req.lineAddr);
+        if (it != _sharers.end()) {
+            it->second &= ~srcBit;
+            if (it->second == 0)
+                _sharers.erase(it);
+        }
+        return po;
+    }
+
+    ++dirLookups;
+    std::uint64_t &sharers = _sharers[req.lineAddr];
+    // Probe a tracked sharer; drop its bit if its copy is stale (or
+    // gone) or was just killed.
+    const auto probeSharer = [&](unsigned cpu, bool exclusive) {
+        const std::uint64_t bit = std::uint64_t(1) << cpu;
+        if (!_caches[cpu]) {
+            sharers &= ~bit;
+            return;
+        }
+        const SnoopResult sr = probePeer(cpu, req.lineAddr, exclusive, po);
+        if (!sr.present || exclusive)
+            sharers &= ~bit;
+    };
+    if (req.type == TxType::ReadShared) {
+        const std::uint64_t others = sharers & ~srcBit;
+        if (std::has_single_bit(others)) {
+            // A lone tracked peer may hold E or M: downgrade it (and
+            // learn whether it supplies dirty data).
+            probeSharer(static_cast<unsigned>(std::countr_zero(others)),
+                        /*exclusive=*/false);
+        }
+        po.sharedByOthers = (sharers & ~srcBit) != 0;
+        sharers |= srcBit;
+    } else { // ReadExclusive / Upgrade: invalidate tracked sharers.
+        for (std::uint64_t targets = sharers & ~srcBit; targets != 0;
+             targets &= targets - 1) {
+            ++targetedInvals;
+            probeSharer(static_cast<unsigned>(std::countr_zero(targets)),
+                        /*exclusive=*/true);
+        }
+        po.sharedByOthers = false; // All peer copies are dead.
+        sharers = srcBit;
+    }
+    if (sharers == 0)
+        _sharers.erase(req.lineAddr);
+    return po;
+}
+
+Tick
+NodeBus::resolve(const BusReq &req, Tick now, const ProbeOutcome &po)
+{
+    if (_bp.transport == TransportKind::Snoop) {
+        const Tick addrStart = _addrPhase.acquire(now, _addrTicks);
+        addrWait.sample(static_cast<double>(addrStart - now));
+        addrBusyTicks += static_cast<double>(_addrTicks);
+        return addrStart + _addrTicks + _snoopTicks;
+    }
+    const auto bank = static_cast<unsigned>((req.lineAddr / _bp.lineBytes) %
+                                            _bp.dirBanks);
+    const Tick start = _dirBanks.acquire(bank, now, _dirLookupTicks);
+    addrWait.sample(static_cast<double>(start - now));
+    dirBusyTicks += static_cast<double>(_dirLookupTicks);
+    Tick done = start + _dirLookupTicks;
+    if (po.probes > 0)
+        done += _snoopTicks; // Targeted probes respond in parallel.
+    return done;
 }
 
 BusResult
@@ -103,9 +216,9 @@ NodeBus::request(const BusReq &req, Tick now)
     BusResult res;
 
     // --- Coherence (functional; applied regardless of timing mode). --
-    // The transport probes (or targets) the peers and reports what it
-    // found; see mem/transport.hh.
-    const ProbeOutcome po = _transport->probe(req);
+    // Snoop the peers (or target the tracked sharers) and note what
+    // was found.
+    const ProbeOutcome po = probe(req);
     res.sharedByOthers = po.sharedByOthers;
     res.cacheToCache = po.dirtyOwner;
 
@@ -156,9 +269,9 @@ NodeBus::request(const BusReq &req, Tick now)
         return res;
     }
 
-    // --- Split-transaction path: the transport charges the ------------
-    // --- serialization (address phase or directory bank).  ------------
-    const Tick snooped = _transport->resolve(req, now, po);
+    // --- Split-transaction path: charge the serialization -------------
+    // --- (address phase or directory bank).                -------------
+    const Tick snooped = resolve(req, now, po);
 
     switch (req.type) {
       case TxType::Upgrade:
@@ -243,13 +356,13 @@ NodeBus::resetTiming()
     _memPort.reset();
     _ioPort.reset();
     _dram.reset();
-    _transport->resetTiming();
+    _dirBanks.reset();
 }
 
 void
 NodeBus::resetCoherence()
 {
-    _transport->resetCoherence();
+    _sharers.clear();
 }
 
 } // namespace pm::mem

@@ -17,17 +17,23 @@
  *    phase through data completion (circuit-switched), so a second
  *    processor's transaction waits out the whole service time.
  *
- * How a transaction finds the peer copies is the CoherenceTransport
- * policy (mem/transport.hh): the broadcast snoop phase above, or a
- * sparse directory whose banked lookups replace the serialized
- * broadcast with targeted invalidations (DESIGN.md §14).
+ * How a transaction finds the peer copies is BusParams::transport
+ * (DESIGN.md §14): the broadcast snoop phase above, or a sparse
+ * directory whose banked lookups replace the serialized broadcast with
+ * targeted invalidations to the tracked sharers.
+ *
+ * Each transaction is applied functionally first, then timed, matching
+ * the cache model: probe() snoops the peers (or the tracked sharers)
+ * and updates the sharer map; on a split-transaction bus, resolve()
+ * then charges the address phase (or one directory bank) and returns
+ * the tick at which ownership is settled.
  */
 
 #ifndef PM_MEM_BUS_HH
 #define PM_MEM_BUS_HH
 
 #include <cstdint>
-#include <memory>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -35,7 +41,6 @@
 #include "mem/policy.hh"
 #include "mem/req.hh"
 #include "mem/resource.hh"
-#include "mem/transport.hh"
 #include "sim/clock.hh"
 #include "sim/stats.hh"
 
@@ -87,8 +92,8 @@ struct DramParams
 
 /**
  * The node bus: arbitrates coherent transactions from the per-CPU
- * last-level caches, reaches the peers through its coherence
- * transport, and times data delivery from DRAM, from an owning cache
+ * last-level caches, reaches the peers by snooping or through its
+ * directory, and times data delivery from DRAM, from an owning cache
  * (intervention), or to DRAM (writeback). Also times PIO transfers
  * between a CPU and the node's I/O port (where the communication link
  * interfaces live).
@@ -126,9 +131,9 @@ class NodeBus : public BusTarget
     void resetTiming();
 
     /**
-     * Forget the transport's coherence bookkeeping (directory sharer
-     * vectors). Must accompany invalidating the attached caches —
-     * Node::reset() does both; no-op under snooping.
+     * Forget the directory's sharer vectors. Must accompany
+     * invalidating the attached caches — Node::reset() does both;
+     * no-op under snooping.
      */
     void resetCoherence();
 
@@ -140,7 +145,7 @@ class NodeBus : public BusTarget
     void setTimeFloor(Tick floor);
 
     /**
-     * Sharer bit-vector the transport tracks for the line holding
+     * Sharer bit-vector the directory tracks for the line holding
      * `lineAddr` (always 0 under snooping, which tracks nothing).
      */
     std::uint64_t directorySharers(Addr lineAddr) const;
@@ -165,11 +170,21 @@ class NodeBus : public BusTarget
                                "ticks spent waiting for the address phase"};
 
   private:
+    /** What the functional probe of the peers found / did. */
+    struct ProbeOutcome
+    {
+        bool sharedByOthers = false; //!< A peer still holds the line.
+        bool dirtyOwner = false; //!< A peer owned Modified data.
+        int owner = -1; //!< CPU index of the dirty owner, if any.
+        unsigned probes = 0; //!< Peer hierarchies actually snooped.
+    };
+
     BusParams _bp;
     DramParams _dp;
     sim::ClockDomain _clk;
     Tick _addrTicks;
     Tick _snoopTicks;
+    Tick _dirLookupTicks; //!< One banked directory lookup.
     Tick _lineDataTicks; //!< Data-phase beats for one full line.
     Tick _beatTicks; //!< One data beat.
 
@@ -180,7 +195,8 @@ class NodeBus : public BusTarget
     Resource _ioPort;
     BankedResource _dram;
     std::vector<Cache *> _caches;
-    std::unique_ptr<CoherenceTransport> _transport;
+    BankedResource _dirBanks; //!< No banks under snooping.
+    std::map<Addr, std::uint64_t> _sharers; //!< lineAddr -> CPU bits.
     sim::StatGroup _stats;
 
     unsigned bankOf(Addr lineAddr) const
@@ -188,6 +204,28 @@ class NodeBus : public BusTarget
         return static_cast<unsigned>((lineAddr / _bp.lineBytes) %
                                      _dp.banks);
     }
+
+    /**
+     * Functionally apply `req` to the peers: snoop every other CPU
+     * (broadcast), or look up and probe the tracked sharers
+     * (directory). Writebacks probe nobody; the directory drops the
+     * writer's sharer bit.
+     */
+    ProbeOutcome probe(const BusReq &req);
+
+    /**
+     * Snoop CPU `cpu`'s hierarchy for `lineAddr` and fold the result
+     * into `po`.
+     */
+    SnoopResult probePeer(unsigned cpu, Addr lineAddr, bool exclusive,
+                          ProbeOutcome &po);
+
+    /**
+     * Charge the serialization of a split transaction issued at `now`
+     * (the address phase, or one directory bank) and return the tick
+     * at which ownership is settled: the snoop-response point.
+     */
+    Tick resolve(const BusReq &req, Tick now, const ProbeOutcome &po);
 
     /**
      * Reserve the data path between two switch ports (or the shared

@@ -53,16 +53,15 @@ Cache::Cache(const CacheParams &params)
           static_cast<std::uint32_t>(std::bit_width(params.assoc - 1))),
       _wayMask(params.assoc == 64 ? ~std::uint64_t(0)
                                   : (std::uint64_t(1) << params.assoc) - 1),
-      _coh(coherencePolicy(params.coherence)),
       _lines(std::make_unique_for_overwrite<Line[]>(std::size_t(_numSets)
                                                     << _wayShift)),
       _valid(((std::size_t(_numSets) << _wayShift) + 63) / 64),
+      _stamps(params.assoc == 1
+                  ? nullptr
+                  : std::make_unique_for_overwrite<std::uint64_t[]>(
+                        std::size_t(_numSets) << _wayShift)),
       _stats(params.name)
 {
-    if (_p.assoc > 1) {
-        _repl = makeReplacement(_p.replacement);
-        _repl->attach(_numSets, _p.assoc);
-    }
     registerStats();
 }
 
@@ -138,23 +137,20 @@ Cache::findLine(Addr lineAddr) const
 std::uint32_t
 Cache::victimWay(std::uint32_t set)
 {
-    if (!_repl)
+    if (!_stamps)
         return 0; // Direct-mapped: the one way is the victim.
     // Lowest-index free way first.
     if (const std::uint64_t free = ~setBits(set) & _wayMask)
         return static_cast<std::uint32_t>(std::countr_zero(free));
-    return _repl->victimWay(set);
-}
-
-void
-Cache::touch(const Line *line)
-{
-    if (!_repl)
-        return;
-    const auto slot = static_cast<std::size_t>(line - _lines.get());
-    const auto set = static_cast<std::uint32_t>(slot >> _wayShift);
-    _repl->touch(set, static_cast<std::uint32_t>(
-                          slot - (std::size_t(set) << _wayShift)));
+    // A full set: every way was stamped by its fill, so no stamp read
+    // here is uninitialized.
+    const std::uint64_t *stamps = &_stamps[std::size_t(set) << _wayShift];
+    std::uint32_t victim = 0;
+    for (std::uint32_t w = 1; w < _p.assoc; ++w) {
+        if (stamps[w] < stamps[victim])
+            victim = w;
+    }
+    return victim;
 }
 
 MesiState
@@ -242,7 +238,7 @@ Cache::fill(Addr lineAddr, bool exclusive, int srcCpu, Tick t)
         if (!exclusive && sub.granted == MesiState::Modified) {
             // Lower level holds dirty data; this level caches it clean
             // relative to the level below (which keeps ownership).
-            res.granted = _coh.cleanOverDirty();
+            res.granted = cleanGrant();
         }
     } else {
         const TxType type =
@@ -250,13 +246,17 @@ Cache::fill(Addr lineAddr, bool exclusive, int srcCpu, Tick t)
         BusResult bus = _bus->request(BusReq{lineAddr, type, srcCpu}, t);
         res.done = bus.done;
         res.fromBus = true;
-        res.granted = _coh.busGrant(exclusive, bus.sharedByOthers);
+        if (exclusive)
+            res.granted = MesiState::Modified;
+        else if (bus.sharedByOthers)
+            res.granted = MesiState::Shared;
+        else
+            res.granted = cleanGrant();
     }
 
     _lines[slot] = Line{lineAddr, res.granted};
     setValid(slot);
-    if (_repl)
-        _repl->insert(set, way);
+    touch(&_lines[slot]);
     res.hit = false;
     return res;
 }
@@ -297,11 +297,13 @@ Cache::access(const MemReq &req, Tick now)
             ++hits;
             return AccessResult{t, line->state, true};
         }
-        switch (_coh.storeHit(line->state)) {
-          case StoreAction::Complete:
+        // An MSI line is never Exclusive, so this serves both protocols.
+        switch (line->state) {
+          case MesiState::Modified:
             ++hits;
             return AccessResult{t, MesiState::Modified, true};
-          case StoreAction::SilentUpgrade:
+          case MesiState::Exclusive:
+            // Silent E -> M: no peer holds a copy.
             ++hits;
             line->state = MesiState::Modified;
             // Record dirty ownership below so remote snoops that only
@@ -309,7 +311,7 @@ Cache::access(const MemReq &req, Tick now)
             if (_below)
                 _below->promoteToModified(_below->lineAlign(lineAddr));
             return AccessResult{t, MesiState::Modified, true};
-          case StoreAction::BusUpgrade: {
+          case MesiState::Shared: {
             const Tick done = upgradeLine(lineAddr, req.srcCpu, t);
             line = findLine(lineAddr); // may have moved? (no, same slot)
             pm_assert(line != nullptr);
@@ -318,6 +320,8 @@ Cache::access(const MemReq &req, Tick now)
             // it as bus traffic so the core applies miss semantics.
             return AccessResult{done, MesiState::Modified, true, true};
           }
+          case MesiState::Invalid:
+            pm_panic("store hit on an Invalid line");
         }
     }
 
@@ -343,19 +347,20 @@ Cache::snoop(Addr lineAddr, bool exclusive)
     if (!line)
         return res;
 
-    const SnoopReaction rx = _coh.snoopHit(line->state, exclusive);
-    if (rx.supplyDirty) {
+    // Modified data is supplied; an exclusive snoop kills the line, any
+    // other demotes it to Shared (an M or E line counts a downgrade).
+    if (line->state == MesiState::Modified) {
         res.dirtySupplied = true;
         ++interventions;
     }
-    if (exclusive)
+    if (exclusive) {
         ++snoopInvalidations;
-    else if (rx.downgrade)
-        ++snoopDowngrades;
-    if (rx.next == MesiState::Invalid)
         clearValid(line);
-    else
-        line->state = rx.next;
+    } else {
+        if (line->state != MesiState::Shared)
+            ++snoopDowngrades;
+        line->state = MesiState::Shared;
+    }
     // res.present reflects pre-snoop residency for invalidations.
     res.present = true;
     return res;

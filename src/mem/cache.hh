@@ -1,10 +1,10 @@
 /**
  * @file
- * A parametric set-associative cache with pluggable coherence.
+ * A parametric set-associative cache speaking MESI or MSI.
  *
  * Caches form private two-level hierarchies per processor (L1 -> L2);
  * the L2 talks to the node bus (BusTarget), which reaches every other
- * processor's L2 through its coherence transport. Hierarchies are
+ * processor's L2 by snooping or through its directory. Hierarchies are
  * inclusive: a line present in L1 is present in its L2, so snoops
  * delivered to the L2 recurse upward.
  *
@@ -12,11 +12,10 @@
  * paper measures (hit rates, line-length effects, snoop serialization,
  * intervention transfers) are functions of state and timing only.
  *
- * Protocol decisions (what a store hit must do, what state a fill is
- * granted, how a snoop reacts) live in the CoherencePolicy; victim
- * selection lives in the ReplacementPolicy (DESIGN.md §14). The cache
- * keeps the mechanism: lookup, inclusion recursion, eviction and the
- * timing of each path.
+ * The two protocols differ in one decision (DESIGN.md §14): MSI never
+ * grants Exclusive, so a clean fill that no peer shares is granted E
+ * under MESI and S under MSI. Every other decision (store hit, snoop
+ * reaction) reads only the line's state, and an MSI line is never E.
  *
  * Residency is one packed valid bit per line, and nothing else: a
  * line slot ({tag, state}) is allocated uninitialized and read only
@@ -25,9 +24,13 @@
  * not every line, and invalidateAll() clears those words. Each set
  * owns a power-of-two run of slots (and bits), so a set's valid bits
  * are one shifted word and no lookup divides; this caps associativity
- * at 64. A direct-mapped cache (assoc 1) has one possible victim per
- * set, so it holds no ReplacementPolicy and reports no hits or fills
- * to one.
+ * at 64.
+ *
+ * Replacement is true LRU: every fill and every hit writes a fresh
+ * clock value into the slot's stamp, and a full set evicts its
+ * smallest stamp. Stamps are uninitialized too, since a full set's
+ * ways were all stamped by their fills. A direct-mapped cache (assoc
+ * 1) has one possible victim per set and keeps no stamps.
  */
 
 #ifndef PM_MEM_CACHE_HH
@@ -39,9 +42,7 @@
 #include <string>
 #include <vector>
 
-#include "mem/coherence.hh"
 #include "mem/policy.hh"
-#include "mem/replacement.hh"
 #include "mem/req.hh"
 #include "sim/clock.hh"
 #include "sim/stats.hh"
@@ -76,7 +77,6 @@ struct CacheParams
     Cycles hitCycles = 1; //!< Lookup + hit-return latency, in clk cycles.
     double clockMhz = 180.0;
     CoherenceKind coherence = CoherenceKind::Mesi;
-    ReplacementKind replacement = ReplacementKind::Lru;
 };
 
 /**
@@ -99,9 +99,6 @@ class Cache
     const CacheParams &params() const { return _p; }
     std::uint32_t lineSize() const { return _p.lineSize; }
     std::uint32_t numSets() const { return _numSets; }
-
-    /** The protocol this cache speaks. */
-    const CoherencePolicy &coherence() const { return _coh; }
 
     /**
      * Perform a timed access.
@@ -169,16 +166,16 @@ class Cache
     std::uint32_t _lineShift; // log2(lineSize): no divide per lookup
     std::uint32_t _wayShift; // a set owns 1 << _wayShift >= assoc slots
     std::uint64_t _wayMask; // one bit per way
-    const CoherencePolicy &_coh;
-    std::unique_ptr<ReplacementPolicy> _repl; // null when direct-mapped
     Cache *_below = nullptr;
     BusTarget *_bus = nullptr;
     Cache *_upper = nullptr;
     std::unique_ptr<Line[]> _lines; // slot (set << _wayShift) + way
     std::vector<std::uint64_t> _valid; // bit i: slot i holds a line
+    std::unique_ptr<std::uint64_t[]> _stamps; // LRU; null if direct-mapped
+    std::uint64_t _clock = 0; // last stamp written
     sim::StatGroup _stats;
 
-    /** Geometry, storage and policy shared by both public ctors. */
+    /** Geometry and storage shared by both public ctors. */
     explicit Cache(const CacheParams &params);
 
     void registerStats();
@@ -208,14 +205,27 @@ class Cache
 
     /**
      * Way to fill for a miss in `set`: way 0 if direct-mapped, else
-     * the lowest-index free way if the set has one, else the
-     * replacement policy's victim (which breaks ties toward the lowest
-     * way index).
+     * the lowest-index free way if the set has one, else the least
+     * recently used way.
      */
     std::uint32_t victimWay(std::uint32_t set);
 
-    /** Report a demand hit on `line` to the replacement policy. */
-    void touch(const Line *line);
+    /** Mark `line` most recently used (a fill or a demand hit). */
+    void
+    touch(const Line *line)
+    {
+        if (_stamps)
+            _stamps[static_cast<std::size_t>(line - _lines.get())] =
+                ++_clock;
+    }
+
+    /** State of a clean fill no peer shares: E, or S under MSI. */
+    MesiState
+    cleanGrant() const
+    {
+        return _p.coherence == CoherenceKind::Mesi ? MesiState::Exclusive
+                                                   : MesiState::Shared;
+    }
 
     /** Fetch a missing line; returns completion time and new state. */
     AccessResult fill(Addr lineAddr, bool exclusive, int srcCpu, Tick t);

@@ -9,12 +9,6 @@ coherenceName(CoherenceKind k)
 }
 
 const char *
-replacementName(ReplacementKind k)
-{
-    return k == ReplacementKind::Lru ? "lru" : "srrip";
-}
-
-const char *
 transportName(TransportKind k)
 {
     return k == TransportKind::Snoop ? "snoop" : "dir";
@@ -29,20 +23,6 @@ parseCoherence(const std::string &s, CoherenceKind &out)
     }
     if (s == "msi") {
         out = CoherenceKind::Msi;
-        return true;
-    }
-    return false;
-}
-
-bool
-parseReplacement(const std::string &s, ReplacementKind &out)
-{
-    if (s == "lru") {
-        out = ReplacementKind::Lru;
-        return true;
-    }
-    if (s == "srrip") {
-        out = ReplacementKind::Srrip;
         return true;
     }
     return false;

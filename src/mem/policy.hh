@@ -1,14 +1,12 @@
 /**
  * @file
- * Policy knobs for the composable memory hierarchy.
+ * Policy knobs for the memory hierarchy.
  *
- * Three orthogonal axes parameterize `mem::Cache` and `mem::NodeBus`
+ * Two orthogonal axes parameterize `mem::Cache` and `mem::NodeBus`
  * (DESIGN.md §14):
  *
  *  - CoherenceKind: which protocol the caches speak (full MESI as the
  *    MPC620 implements it, or plain MSI without the Exclusive state).
- *  - ReplacementKind: how a set picks its victim (true LRU, or the
- *    2-bit SRRIP re-reference predictor).
  *  - TransportKind: how coherence traffic reaches the peers (the
  *    paper's serialized broadcast snoop phase, or a sparse directory
  *    that sends targeted invalidations to actual sharers only).
@@ -32,12 +30,6 @@ enum class CoherenceKind : std::uint8_t {
     Msi, //!< No Exclusive state: every store to a clean line upgrades.
 };
 
-/** Victim selection within a set. */
-enum class ReplacementKind : std::uint8_t {
-    Lru, //!< True least-recently-used (monotonic stamps).
-    Srrip, //!< Static re-reference interval prediction, 2-bit RRPV.
-};
-
 /** How coherence requests reach the other caches of the node. */
 enum class TransportKind : std::uint8_t {
     Snoop, //!< Broadcast over the serialized snooped address phase.
@@ -46,14 +38,11 @@ enum class TransportKind : std::uint8_t {
 
 /** CLI/report names: "mesi" / "msi". */
 const char *coherenceName(CoherenceKind k);
-/** CLI/report names: "lru" / "srrip". */
-const char *replacementName(ReplacementKind k);
 /** CLI/report names: "snoop" / "dir". */
 const char *transportName(TransportKind k);
 
 /** Parse a CLI name; false (out untouched) on anything unknown. */
 bool parseCoherence(const std::string &s, CoherenceKind &out);
-bool parseReplacement(const std::string &s, ReplacementKind &out);
 bool parseTransport(const std::string &s, TransportKind &out);
 
 } // namespace pm::mem

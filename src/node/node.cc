@@ -24,14 +24,12 @@ Node::Node(const NodeParams &params)
         mem::CacheParams l2p = _p.l2;
         l2p.name = _p.name + ".cpu" + std::to_string(c) + ".l2";
         l2p.coherence = _p.coherence;
-        l2p.replacement = _p.replacement;
         _l2s.push_back(std::make_unique<mem::Cache>(l2p, _bus.get()));
         _bus->attachCache(c, _l2s.back().get());
 
         mem::CacheParams l1p = _p.l1;
         l1p.name = _p.name + ".cpu" + std::to_string(c) + ".l1d";
         l1p.coherence = _p.coherence;
-        l1p.replacement = _p.replacement;
         _l1s.push_back(std::make_unique<mem::Cache>(l1p, _l2s.back().get()));
 
         cpu::CpuParams cp = _p.cpu;

@@ -35,7 +35,6 @@ struct NodeParams
     // copies these into every cache's CacheParams and the bus's
     // BusParams, so one knob configures the whole node consistently.
     mem::CoherenceKind coherence = mem::CoherenceKind::Mesi;
-    mem::ReplacementKind replacement = mem::ReplacementKind::Lru;
     mem::TransportKind transport = mem::TransportKind::Snoop;
 };
 

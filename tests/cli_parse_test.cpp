@@ -288,17 +288,15 @@ TEST(JobSpec, PolicyFlagsParseWithResolvedDefaults)
     std::string err;
     ASSERT_TRUE(cli::JobSpec::parse({}, spec, err)) << err;
     EXPECT_EQ(spec.coherence, mem::CoherenceKind::Mesi);
-    EXPECT_EQ(spec.replacement, mem::ReplacementKind::Lru);
     EXPECT_EQ(spec.transport, mem::TransportKind::Snoop);
     EXPECT_EQ(spec.nodeCpus, 0u); // the machine's own count
 
     ASSERT_TRUE(cli::JobSpec::parse(
-                    tok({"--coherence", "msi", "--replacement", "srrip",
-                         "--transport", "dir", "--node-cpus", "4"}),
+                    tok({"--coherence", "msi", "--transport", "dir",
+                         "--node-cpus", "4"}),
                     spec, err))
         << err;
     EXPECT_EQ(spec.coherence, mem::CoherenceKind::Msi);
-    EXPECT_EQ(spec.replacement, mem::ReplacementKind::Srrip);
     EXPECT_EQ(spec.transport, mem::TransportKind::Directory);
     EXPECT_EQ(spec.nodeCpus, 4u);
 }
@@ -309,7 +307,7 @@ TEST(JobSpec, PolicyFlagsRejectBadValuesWithDiagnostics)
     std::string err;
     const std::vector<std::vector<std::string>> bad = {
         tok({"--coherence", "moesi"}),
-        tok({"--replacement", "random"}),
+        tok({"--replacement", "lru"}), // LRU is the only replacement
         tok({"--transport", "mesh"}),
         tok({"--node-cpus", "0"}),
         tok({"--node-cpus", "9"}), // beyond the paper's design study
@@ -371,9 +369,8 @@ TEST(RunPoint, SpelledOutPolicyDefaultsMatchNoFlags)
     std::string err;
     ASSERT_TRUE(cli::JobSpec::parse(tok({"--stats"}), dflt, err)) << err;
     ASSERT_TRUE(cli::JobSpec::parse(
-                    tok({"--stats", "--coherence", "mesi", "--replacement",
-                         "lru", "--transport", "snoop", "--node-cpus",
-                         "2"}),
+                    tok({"--stats", "--coherence", "mesi", "--transport",
+                         "snoop", "--node-cpus", "2"}),
                     explicitDflt, err))
         << err;
     const std::string row = cli::runPoint(dflt);

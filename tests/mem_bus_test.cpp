@@ -3,7 +3,7 @@
  * Unit tests for the node bus: snoop outcomes, split vs non-split
  * timing, intervention transfers, address-only upgrades, DRAM bank
  * accounting, and PIO beats — using small two-CPU nodes built from
- * real caches.
+ * real caches; and the constructor's configuration checks.
  */
 
 #include <gtest/gtest.h>
@@ -210,6 +210,77 @@ TEST(NodeBus, TransactionsAreCounted)
     n.l2s[0]->access(MemReq{0x0, false, 0}, 0);
     n.l2s[0]->access(MemReq{0x40, true, 0}, 1000000);
     EXPECT_EQ(n.bus->transactions.value(), 2.0);
+}
+
+// ---- Configuration checks. ------------------------------------------
+
+/**
+ * Each bad configuration must stop the constructor with a diagnostic
+ * naming the bus (exit 1), never a later crash: with no DRAM or
+ * directory banks the first access would divide by zero (SIGFPE).
+ */
+void
+expectBusRejected(BusParams bp, DramParams dp, unsigned numCpus,
+                  const char *diagnostic)
+{
+    bp.name = "test_bus";
+    EXPECT_EXIT(NodeBus(bp, dp, numCpus), ::testing::ExitedWithCode(1),
+                diagnostic);
+}
+
+TEST(NodeBusConfig, RejectsZeroCpus)
+{
+    expectBusRejected({}, {}, 0,
+                      "bus test_bus: need at least one CPU port");
+}
+
+TEST(NodeBusConfig, RejectsLineNotAMultipleOfTheDataWidth)
+{
+    BusParams bp;
+    bp.lineBytes = 64;
+    bp.dataWidthBytes = 24;
+    expectBusRejected(bp, {}, 2,
+                      "bus test_bus: line size must be a multiple of the "
+                      "data width");
+}
+
+TEST(NodeBusConfig, RejectsDirectoryOnCircuitSwitchedBus)
+{
+    BusParams bp;
+    bp.transport = TransportKind::Directory;
+    bp.splitTransactions = false;
+    expectBusRejected(bp, {}, 2,
+                      "bus test_bus: a directory transport needs a "
+                      "split-transaction bus");
+}
+
+/** The sharer vector is one 64-bit word. */
+TEST(NodeBusConfig, RejectsDirectoryBeyond64Cpus)
+{
+    BusParams bp;
+    bp.transport = TransportKind::Directory;
+    expectBusRejected(bp, {}, 65,
+                      "bus test_bus: a directory's sharer vector holds at "
+                      "most 64 CPUs, got 65");
+}
+
+TEST(NodeBusConfig, RejectsDirectoryWithoutBanks)
+{
+    BusParams bp;
+    bp.transport = TransportKind::Directory;
+    bp.dirBanks = 0;
+    expectBusRejected(bp, {}, 2,
+                      "bus test_bus: a directory needs at least one bank");
+}
+
+TEST(NodeBusConfig, RejectsDramWithoutBanks)
+{
+    DramParams dp;
+    dp.name = "test_dram";
+    dp.banks = 0;
+    expectBusRejected({}, dp, 1,
+                      "bus test_bus: DRAM test_dram needs at least one "
+                      "bank");
 }
 
 TEST(DramParams, OccupancyScalesWithBytes)

@@ -4,8 +4,7 @@
  * MESI transitions against a stub bus, inclusion with a two-level
  * hierarchy, and full-node coherence through a real NodeBus; geometry
  * validation; and seeded streams showing that a reset cache behaves
- * exactly like a new one and that a direct-mapped cache ignores its
- * replacement policy.
+ * exactly like a new one.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +12,6 @@
 #include <array>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "mem/bus.hh"
@@ -32,7 +30,6 @@ using mem::Cache;
 using mem::CacheParams;
 using mem::MemReq;
 using mem::MesiState;
-using mem::ReplacementKind;
 using mem::SnoopResult;
 using mem::TxType;
 
@@ -553,21 +550,17 @@ expectLockstep(Cache &x, StubBus &xbus, Cache &y, StubBus &ybus,
     }
 }
 
-class CacheReset
-    : public ::testing::TestWithParam<
-          std::tuple<std::uint32_t, ReplacementKind>>
+class CacheReset : public ::testing::TestWithParam<std::uint32_t>
 {};
 
 /**
  * Stream A, invalidateAll(), then stream B must be indistinguishable
- * from stream B on a new cache: no line, tag or replacement state left
- * by A may change a result.
+ * from stream B on a new cache: no line, tag or LRU stamp left by A
+ * may change a result.
  */
 TEST_P(CacheReset, BehavesLikeANewCache)
 {
-    const auto [assoc, repl] = GetParam();
-    CacheParams p = smallCache(1, assoc, 64);
-    p.replacement = repl;
+    const CacheParams p = smallCache(1, GetParam(), 64);
     StubBus xbus, ybus;
     Cache x(p, &xbus);
     Cache y(p, &ybus);
@@ -587,15 +580,11 @@ TEST_P(CacheReset, BehavesLikeANewCache)
         EXPECT_EQ(after[i] - before[i], fresh[i]) << "counter " << i;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Geometry, CacheReset,
-    ::testing::Combine(::testing::Values(1u, 2u, 8u),
-                       ::testing::Values(ReplacementKind::Lru,
-                                         ReplacementKind::Srrip)),
-    [](const auto &info) {
-        return "assoc" + std::to_string(std::get<0>(info.param)) + "_" +
-               mem::replacementName(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Geometry, CacheReset,
+                         ::testing::Values(1u, 2u, 8u),
+                         [](const auto &info) {
+                             return "assoc" + std::to_string(info.param);
+                         });
 
 /**
  * A line dropped by invalidateAll(), invalidateLine() or an exclusive
@@ -650,23 +639,6 @@ TEST(CacheInvalidation, DroppedLinesMissAndLeaveTheirWaysFree)
             EXPECT_EQ(bus.count(TxType::Writeback), 0);
         }
     }
-}
-
-/**
- * A direct-mapped set has one way, so there is no victim to choose:
- * the same stream gives the same results under LRU and SRRIP.
- */
-TEST(CacheDirectMapped, ReplacementKindChangesNothing)
-{
-    CacheParams lru = smallCache(1, 1, 64);
-    CacheParams srrip = lru;
-    srrip.replacement = ReplacementKind::Srrip;
-    StubBus lbus, sbus;
-    Cache l(lru, &lbus);
-    Cache s(srrip, &sbus);
-    expectLockstep(l, lbus, s, sbus, seededStream(3, 4000));
-    EXPECT_EQ(counters(l), counters(s));
-    EXPECT_GT(l.evictions.value(), 0.0);
 }
 
 } // namespace

@@ -45,7 +45,6 @@ struct TestNode
     explicit TestNode(unsigned numCpus,
                       CoherenceKind coh = CoherenceKind::Mesi,
                       TransportKind transport = TransportKind::Snoop,
-                      ReplacementKind repl = ReplacementKind::Lru,
                       std::uint32_t l2Bytes = 8 * 1024, // tiny
                       std::uint32_t l2Assoc = 2)
     {
@@ -63,7 +62,6 @@ struct TestNode
             l2p.lineSize = 64;
             l2p.hitCycles = 4;
             l2p.coherence = coh;
-            l2p.replacement = repl;
             h.l2 = std::make_unique<Cache>(l2p, bus.get());
             bus->attachCache(c, h.l2.get());
 
@@ -74,7 +72,6 @@ struct TestNode
             l1p.lineSize = 64;
             l1p.hitCycles = 1;
             l1p.coherence = coh;
-            l1p.replacement = repl;
             h.l1 = std::make_unique<Cache>(l1p, h.l2.get());
             cpus.push_back(std::move(h));
         }
@@ -172,8 +169,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /**
- * The policy matrix: both protocols x both transports (x both
- * replacement policies, riding the seed axis cheaply) satisfy the
+ * The policy matrix: both protocols x both transports satisfy the
  * same invariants, and MSI additionally never mints Exclusive. Each
  * point runs over a 2-way L2 and over a direct-mapped one.
  */
@@ -187,11 +183,7 @@ class PolicyProperty
     walk(std::uint32_t l2Bytes, std::uint32_t l2Assoc)
     {
         const auto [seed, numCpus, coh, transport] = GetParam();
-        // Odd seeds run SRRIP so both replacement policies see the
-        // matrix without doubling the instantiation count.
-        const ReplacementKind repl =
-            seed % 2 ? ReplacementKind::Srrip : ReplacementKind::Lru;
-        TestNode node(numCpus, coh, transport, repl, l2Bytes, l2Assoc);
+        TestNode node(numCpus, coh, transport, l2Bytes, l2Assoc);
         runRandomWalk(node, seed, numCpus,
                       /*forbidExclusive=*/coh == CoherenceKind::Msi);
         return node;

@@ -1,8 +1,7 @@
 /**
  * @file
- * Unit tests for the pluggable memory-hierarchy policies (DESIGN.md
- * §14): replacement victim selection (LRU tie-break determinism, SRRIP
- * known answers and scan resistance), MSI protocol semantics against
+ * Unit tests for the memory-hierarchy policies (DESIGN.md §14): LRU
+ * victim order through a real cache, MSI protocol semantics against
  * MESI, and the sparse directory's targeted invalidations — probing
  * exactly the true sharers where the broadcast snoop probes everyone.
  */
@@ -15,7 +14,6 @@
 
 #include "mem/bus.hh"
 #include "mem/cache.hh"
-#include "mem/replacement.hh"
 #include "mem/req.hh"
 
 namespace {
@@ -29,66 +27,11 @@ using mem::CacheParams;
 using mem::CoherenceKind;
 using mem::MemReq;
 using mem::MesiState;
-using mem::ReplacementKind;
 using mem::TransportKind;
-using mem::TxType;
 
-// ---- ReplacementPolicy known-answer tests ---------------------------------
+// ---- LRU through a real Cache ---------------------------------------------
 
-TEST(LruPolicy, FreshSetTieBreaksToLowestWay)
-{
-    auto lru = mem::makeReplacement(ReplacementKind::Lru);
-    lru->attach(2, 4);
-    // All stamps equal (cold): the tie must break to way 0, in every
-    // set, deterministically — this is the satellite-1 contract.
-    EXPECT_EQ(lru->victimWay(0), 0u);
-    EXPECT_EQ(lru->victimWay(1), 0u);
-}
-
-TEST(LruPolicy, TouchOrderPicksLeastRecentWay)
-{
-    auto lru = mem::makeReplacement(ReplacementKind::Lru);
-    lru->attach(1, 4);
-    for (std::uint32_t w = 0; w < 4; ++w)
-        lru->insert(0, w);
-    EXPECT_EQ(lru->victimWay(0), 0u); // oldest insert
-    lru->touch(0, 0);
-    EXPECT_EQ(lru->victimWay(0), 1u);
-    lru->touch(0, 1);
-    EXPECT_EQ(lru->victimWay(0), 2u);
-}
-
-TEST(SrripPolicy, AgesColdSetAndVictimizesLowestWay)
-{
-    auto srrip = mem::makeReplacement(ReplacementKind::Srrip);
-    srrip->attach(1, 4);
-    for (std::uint32_t w = 0; w < 4; ++w)
-        srrip->insert(0, w); // all RRPV = long (2)
-    // No way is distant (3): the set ages once, then the tie among
-    // all-distant ways breaks to way 0.
-    EXPECT_EQ(srrip->victimWay(0), 0u);
-    // Aging was persistent: the next victim needs no further aging and
-    // is still the lowest distant way.
-    EXPECT_EQ(srrip->victimWay(0), 0u);
-}
-
-TEST(SrripPolicy, TouchPromotesToNearAndSurvivesAging)
-{
-    auto srrip = mem::makeReplacement(ReplacementKind::Srrip);
-    srrip->attach(1, 4);
-    for (std::uint32_t w = 0; w < 4; ++w)
-        srrip->insert(0, w); // RRPV: [2,2,2,2]
-    srrip->touch(0, 1); // RRPV: [2,0,2,2]
-    // One aging pass: [3,1,3,3] -> victim way 0; the touched way is
-    // two more aging rounds from eviction.
-    EXPECT_EQ(srrip->victimWay(0), 0u);
-    srrip->insert(0, 0); // RRPV: [2,1,3,3]
-    EXPECT_EQ(srrip->victimWay(0), 2u); // first already-distant way
-}
-
-// ---- Replacement policies through a real Cache ----------------------------
-
-/** A bus stub granting every fill; enough for replacement tests. */
+/** A bus stub granting every fill. */
 class StubBus : public BusTarget
 {
   public:
@@ -99,46 +42,39 @@ class StubBus : public BusTarget
     }
 };
 
-CacheParams
-twoWayCache(ReplacementKind repl)
+/**
+ * Fill a 4-way set in way order, then hit the first two lines: the
+ * next two conflict misses must evict the two lines not touched since
+ * their fills, oldest first, and keep the recently hit ones.
+ */
+TEST(Lru, TouchOrderPicksLeastRecentWay)
 {
     CacheParams p;
-    p.name = "repl_l2";
-    p.sizeBytes = 1024; // 8 sets of 2 ways at 64 B lines
-    p.assoc = 2;
+    p.name = "lru_l2";
+    p.sizeBytes = 1024; // 4 sets of 4 ways at 64 B lines
+    p.assoc = 4;
     p.lineSize = 64;
     p.hitCycles = 1;
     p.clockMhz = 100.0;
-    p.replacement = repl;
-    return p;
-}
-
-/**
- * The classic scan: a re-referenced line A against a stream B, C, D
- * mapping to the same set. LRU keeps recency and so evicts A the
- * moment the stream is longer than the set; SRRIP inserts streaming
- * lines at long re-reference prediction and keeps the proven-hot A.
- */
-TEST(Replacement, SrripResistsScanWhereLruEvictsHotLine)
-{
-    const Addr stride = 8 * 64; // same set index
-    const Addr a = 0, b = stride, c = 2 * stride, d = 3 * stride;
+    StubBus bus;
+    Cache cache(p, &bus);
+    const Addr stride = Addr(cache.numSets()) * 64; // same set index
+    const auto line = [&](Addr i) { return i * stride; };
     Tick t = 0;
-    for (const ReplacementKind repl :
-         {ReplacementKind::Lru, ReplacementKind::Srrip}) {
-        StubBus bus;
-        Cache cache(twoWayCache(repl), &bus);
-        for (const Addr addr : {a, b, a /* A becomes hot */, c, d})
-            cache.access(MemReq{addr, false, 0}, t += 1000);
-        if (repl == ReplacementKind::Lru) {
-            // Recency: the stream pushed A out.
-            EXPECT_EQ(cache.lineState(a), MesiState::Invalid);
-        } else {
-            // Re-reference interval: A survives the scan.
-            EXPECT_NE(cache.lineState(a), MesiState::Invalid);
-            EXPECT_EQ(cache.lineState(c), MesiState::Invalid);
-        }
-    }
+    for (Addr i = 0; i < 4; ++i)
+        cache.access(MemReq{line(i), false, 0}, t += 1000);
+    for (Addr i = 0; i < 2; ++i)
+        ASSERT_TRUE(cache.access(MemReq{line(i), false, 0}, t += 1000).hit);
+    // Recency, oldest first: lines 2, 3, 0, 1.
+    cache.access(MemReq{line(4), false, 0}, t += 1000);
+    EXPECT_EQ(cache.lineState(line(2)), MesiState::Invalid);
+    EXPECT_NE(cache.lineState(line(3)), MesiState::Invalid);
+    cache.access(MemReq{line(5), false, 0}, t += 1000);
+    EXPECT_EQ(cache.lineState(line(3)), MesiState::Invalid);
+    for (const Addr i : {0, 1, 4, 5})
+        EXPECT_NE(cache.lineState(line(i)), MesiState::Invalid)
+            << "line " << i;
+    EXPECT_EQ(cache.evictions.value(), 2.0);
 }
 
 // ---- Protocol and transport tests over a real NodeBus ---------------------

@@ -250,7 +250,7 @@ usage()
                  "       [--minlog2 L] [--maxlog2 H] [--stats]\n"
                  "         (HINT sizes 2^L..2^H, 1 <= L <= H <= %u)\n"
                  "  comm [--machine M] [--nodes N] [--clusters K]\n"
-                 "       [--coherence mesi|msi] [--replacement lru|srrip]\n"
+                 "       [--coherence mesi|msi]\n"
                  "       [--transport snoop|dir]  (dir: sparse-directory\n"
                  "         coherence; needs a split-transaction machine)\n"
                  "       [--node-cpus N]  (processors per node, 1..8)\n"
