@@ -14,6 +14,9 @@ Proc::Proc(const CpuParams &params, int cpuId, mem::Cache *l1d,
       _dtlb(params.tlb),
       _stats(params.name)
 {
+    if (!_l1d || !_bus)
+        pm_fatal("cpu %s: needs an L1 data cache and a node bus",
+                 _p.name.c_str());
     if (_p.issueWidth <= 0 || _p.fpOpsPerCycle <= 0 || _p.intOpsPerCycle <= 0)
         pm_fatal("cpu %s: throughputs must be positive", _p.name.c_str());
     if (_p.maxOutstandingMisses == 0)
@@ -37,8 +40,6 @@ void
 Proc::memAccess(Addr addr, bool write)
 {
     _time += _issueTick;
-    if (!_l1d)
-        return;
 
     // Address translation precedes the cache access; a table walk
     // stalls the core for the walk logic plus a real page-table-entry
@@ -117,12 +118,19 @@ Proc::store(Addr addr)
 void
 Proc::loadSeq(Addr addr, std::uint64_t bytes)
 {
-    if (!_l1d) {
-        const std::uint64_t words = (bytes + 7) / 8;
-        loads += static_cast<double>(words);
-        _time += words * _issueTick;
-        return;
-    }
+    accessSeq(addr, bytes, false);
+}
+
+void
+Proc::storeSeq(Addr addr, std::uint64_t bytes)
+{
+    accessSeq(addr, bytes, true);
+}
+
+void
+Proc::accessSeq(Addr addr, std::uint64_t bytes, bool write)
+{
+    sim::Scalar &counter = write ? stores : loads;
     const std::uint64_t line = _l1d->lineSize();
     const Addr end = addr + bytes;
     for (Addr a = addr; a < end; ) {
@@ -131,33 +139,10 @@ Proc::loadSeq(Addr addr, std::uint64_t bytes)
         const std::uint64_t words = (chunkEnd - a + 7) / 8;
         // First word probes the hierarchy; the rest of the line's words
         // are pipelined hits.
-        load(a);
+        ++counter;
+        memAccess(a, write);
         if (words > 1) {
-            loads += static_cast<double>(words - 1);
-            _time += (words - 1) * _issueTick;
-        }
-        a = chunkEnd;
-    }
-}
-
-void
-Proc::storeSeq(Addr addr, std::uint64_t bytes)
-{
-    if (!_l1d) {
-        const std::uint64_t words = (bytes + 7) / 8;
-        stores += static_cast<double>(words);
-        _time += words * _issueTick;
-        return;
-    }
-    const std::uint64_t line = _l1d->lineSize();
-    const Addr end = addr + bytes;
-    for (Addr a = addr; a < end; ) {
-        const Addr lineEnd = (a & ~(line - 1)) + line;
-        const Addr chunkEnd = lineEnd < end ? lineEnd : end;
-        const std::uint64_t words = (chunkEnd - a + 7) / 8;
-        store(a);
-        if (words > 1) {
-            stores += static_cast<double>(words - 1);
+            counter += static_cast<double>(words - 1);
             _time += (words - 1) * _issueTick;
         }
         a = chunkEnd;
@@ -187,8 +172,6 @@ Proc::instr(std::uint64_t n)
 void
 Proc::pioBeat()
 {
-    if (!_bus)
-        pm_panic("cpu %s: pioBeat with no bus attached", _p.name.c_str());
     const Tick done = _bus->pioBeat(_cpuId, _time);
     // Uncached transfers are strongly ordered: the core waits.
     _time = done;

@@ -33,9 +33,8 @@ class Proc
     /**
      * @param params Timing parameters.
      * @param cpuId Index of this processor within its node.
-     * @param l1d The processor's L1 data cache (may be null for pure
-     *        compute models).
-     * @param bus The node bus, used for PIO beats (may be null).
+     * @param l1d The processor's L1 data cache.
+     * @param bus The node bus, used for PIO beats.
      */
     Proc(const CpuParams &params, int cpuId, mem::Cache *l1d,
          mem::NodeBus *bus);
@@ -44,8 +43,6 @@ class Proc
     Proc &operator=(const Proc &) = delete;
 
     const CpuParams &params() const { return _p; }
-    int cpuId() const { return _cpuId; }
-    mem::Cache *l1d() const { return _l1d; }
     mem::NodeBus *bus() const { return _bus; }
 
     /** Local simulated time of this processor. */
@@ -82,9 +79,6 @@ class Proc
 
     /** Stall for `n` core cycles. */
     void stallCycles(Cycles n) { _time += _clk.cycles(n); }
-
-    /** Stall for an absolute number of ticks. */
-    void stallTicks(Tick t) { _time += t; }
 
     /** One uncached single-beat PIO transfer (CPU <-> I/O port). */
     void pioBeat();
@@ -139,6 +133,9 @@ class Proc
     sim::StatGroup _stats;
 
     void memAccess(Addr addr, bool write);
+
+    /** loadSeq (write false) or storeSeq (write true). */
+    void accessSeq(Addr addr, std::uint64_t bytes, bool write);
 };
 
 } // namespace pm::cpu

@@ -27,8 +27,7 @@ runJobs(std::vector<Job> &jobs)
         Job &j = jobs[best];
         // No future request can be issued before the minimum time:
         // let shared resources prune their reservation calendars.
-        if (j.proc->bus())
-            j.proc->bus()->setTimeFloor(j.proc->time());
+        j.proc->bus()->setTimeFloor(j.proc->time());
         if (!j.work->step(*j.proc)) {
             j.proc->drain();
             done[best] = true;

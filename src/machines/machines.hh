@@ -36,8 +36,7 @@ node::NodeParams powerMannaN(unsigned n);
  * One point of the coherence ablation (bench/ablation_coherence): a
  * PowerMANNA node with `n` processors and the given coherence protocol
  * and transport. The name encodes the point, e.g.
- * "powermanna4_dir_msi". Replacement stays LRU — it is a per-cache
- * knob on NodeParams for callers that want to vary it.
+ * "powermanna4_dir_msi". Replacement is true LRU in every cache.
  */
 node::NodeParams powerMannaAblation(unsigned n,
                                     mem::CoherenceKind coherence,

@@ -113,7 +113,6 @@ class NodeBus : public BusTarget
     unsigned numCpus() const { return static_cast<unsigned>(_caches.size()); }
 
     const BusParams &params() const { return _bp; }
-    const DramParams &dramParams() const { return _dp; }
 
     /** BusTarget: perform one coherent transaction. */
     BusResult request(const BusReq &req, Tick now) override;

@@ -21,9 +21,6 @@ enum class MesiState : std::uint8_t {
     Modified,
 };
 
-/** Printable name for a MESI state. */
-const char *mesiName(MesiState s);
-
 /** A processor-originated memory access. */
 struct MemReq
 {
@@ -55,9 +52,6 @@ enum class TxType : std::uint8_t {
     Upgrade, //!< Store to a Shared line: kill other copies, no data.
     Writeback, //!< Evicted Modified line heading to memory.
 };
-
-/** Printable name for a transaction type. */
-const char *txName(TxType t);
 
 /** A transaction presented to the node bus by a last-level cache. */
 struct BusReq

@@ -75,8 +75,6 @@ PmComm::PmComm(System &sys, unsigned nodeId, unsigned cpu, unsigned net,
       _clk(sys.node(nodeId).proc(cpu).params().clockMhz),
       _stats("driver.node" + std::to_string(nodeId))
 {
-    if (_costs.maxBurstWords == 0)
-        _costs.maxBurstWords = _ni.params().fifoWords;
     _stats.add(&messagesSent);
     _stats.add(&messagesReceived);
     _stats.add(&retransmits);
@@ -286,8 +284,9 @@ PmComm::serviceRecv()
     // Status read: how many words are visible right now?
     _proc.pioBeat();
 
+    const unsigned depth = _ni.params().fifoWords;
     unsigned burst = 0;
-    while (burst < _costs.maxBurstWords) {
+    while (burst < depth) {
         if (_ni.frontMessageDrained()) {
             finishMessage();
             progress = true;
@@ -681,11 +680,11 @@ PmComm::serviceSend()
 
     bool progress = false;
     unsigned burst = 0;
-    const unsigned maxBurst = _costs.maxBurstWords;
+    const unsigned depth = _ni.params().fifoWords;
 
     // Route commands (one per crossbar on the path).
     while (op.routePushed < op.route.size() && space > 0 &&
-           burst < maxBurst) {
+           burst < depth) {
         _proc.pioBeat();
         _ni.pushSend(net::Symbol::makeRoute(op.route[op.routePushed]),
                      _proc.time());
@@ -697,7 +696,7 @@ PmComm::serviceSend()
 
     // Header word: type, source, sequence, cumulative ACK, length.
     if (op.routePushed == op.route.size() && !op.headerPushed &&
-        space > 0 && burst < maxBurst) {
+        space > 0 && burst < depth) {
         _proc.pioBeat();
         _ni.pushSend(net::Symbol::makeData(headerFor(op)), _proc.time());
         piggybackAckCleared(op.dst);
@@ -710,7 +709,7 @@ PmComm::serviceSend()
     // Payload words: load from memory, store to the FIFO.
     while (op.headerPushed && op.payload &&
            op.nextWord < op.payload->size() && space > 1 &&
-           burst < maxBurst) {
+           burst < depth) {
         _proc.load(op.srcAddr + op.nextWord * 8);
         _proc.pioBeat();
         _ni.pushSend(net::Symbol::makeData((*op.payload)[op.nextWord]),

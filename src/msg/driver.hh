@@ -10,11 +10,13 @@
  * memory-mapped FIFOs word by word, polls status registers, and
  * interleaves send and receive work in bounded bursts.
  *
- * The burst interleaving reproduces the paper's Figure 12 bottleneck:
- * with 32-word FIFOs the driver "can send at most 4 cache lines to
- * fill the send-FIFO. Then the driver has to test the receive-FIFO and
- * possibly receive the incoming data" — the direction switching, paid
- * in PIO accesses, caps simultaneous bidirectional throughput.
+ * A burst moves at most one link-interface FIFO depth of words before
+ * the driver switches direction. The burst interleaving reproduces the
+ * paper's Figure 12 bottleneck: with 32-word FIFOs the driver "can send
+ * at most 4 cache lines to fill the send-FIFO. Then the driver has to
+ * test the receive-FIFO and possibly receive the incoming data" — the
+ * direction switching, paid in PIO accesses, caps simultaneous
+ * bidirectional throughput.
  *
  * Reliable delivery: the NI hardware only *detects* errors (CRC-32
  * per message); recovery is software's job. The driver runs a
@@ -82,11 +84,6 @@ struct DriverCosts
                             //!< MPI send path, ~1.75 us at 180 MHz).
     Cycles recvSetup = 228; //!< Posting/matching a receive.
     Cycles pollGap = 20; //!< Re-poll spacing when nothing progressed.
-    /**
-     * Words moved before switching direction. 0 (default) means one
-     * full link-interface FIFO — the paper's "at most 4 cache lines".
-     */
-    unsigned maxBurstWords = 0;
 
     // ---- Reliability protocol. --------------------------------------
     Cycles protocolCheck = 4; //!< Header decode + seq compare, charged

@@ -67,8 +67,6 @@ System::snapshotAuditBaselines()
 void
 System::auditQuiescent(const char *where)
 {
-    if (!_health.auditsEnabled())
-        return;
     sim::Context::Scope scope(_ctx);
     double sent = 0.0;
     double received = 0.0;

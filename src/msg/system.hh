@@ -85,8 +85,7 @@ class System
      * words sent by all NIs since the last audit must equal words
      * received plus words dropped by fault injection, and every
      * registered reporter's quiet-machine invariants must hold.
-     * Callers must drain to Fabric::wireQuiet() first. No-op while
-     * health().auditsEnabled() is off.
+     * Callers must drain to Fabric::wireQuiet() first.
      */
     void auditQuiescent(const char *where);
 

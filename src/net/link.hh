@@ -107,7 +107,7 @@ class LinkTx
         bytesSent += sym.wireBytes();
         Symbol out = sym;
         if (_site && sym.kind == SymKind::Data &&
-            _site->filterWord(out.data))
+            _site->filterWord(out.data, now))
             return _busyUntil;
         const Tick arrival = now + tx + _p.latency;
         ++_inflight;

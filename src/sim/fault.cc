@@ -83,11 +83,11 @@ FaultSite::FaultSite(FaultModel &model, std::string name, FaultConfig cfg,
 }
 
 bool
-FaultSite::filterWord(std::uint64_t &word)
+FaultSite::filterWord(std::uint64_t &word, Tick now)
 {
     if (_cfg.drop > 0.0 && _rng.chance(_cfg.drop)) {
         ++_model.wordsDropped;
-        pm_trace(0, "fault", "%s: dropped word %016llx", _name.c_str(),
+        pm_trace(now, "fault", "%s: dropped word %016llx", _name.c_str(),
                  (unsigned long long)word);
         return true;
     }
@@ -97,7 +97,7 @@ FaultSite::filterWord(std::uint64_t &word)
             word ^= 1ull << _rng.below(64);
             ++_model.bitsFlipped;
         } while (_rng.chance(_pAnyFlip)); // rare multi-bit hit
-        pm_trace(0, "fault", "%s: corrupted word -> %016llx",
+        pm_trace(now, "fault", "%s: corrupted word -> %016llx",
                  _name.c_str(), (unsigned long long)word);
     }
     return false;

@@ -73,9 +73,10 @@ class FaultSite
     /**
      * Pass one 64-bit data word through the site.
      * @param word Corrupted in place when a bit error strikes.
+     * @param now The word's send tick, which stamps its trace line.
      * @return true when the word is dropped entirely.
      */
-    bool filterWord(std::uint64_t &word);
+    bool filterWord(std::uint64_t &word, Tick now);
 
     /**
      * First tick >= `now` at which the channel is up. Returns `now`

@@ -142,8 +142,6 @@ Monitor::scan()
 void
 Monitor::runAudit(Auditor::Point point, const char *where)
 {
-    if (!_auditsEnabled)
-        return;
     Auditor audit(point);
     for (Reporter *r : _reporters) {
         audit.setComponent(r->healthName());

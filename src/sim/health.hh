@@ -252,14 +252,9 @@ class Monitor
     /** True while a watchdog scan is scheduled. */
     bool watchdogEnabled() const { return _queue.scheduled(_scanEvent); }
 
-    /** Enable/disable phase-boundary audits (default on). */
-    void setAuditsEnabled(bool enabled) { _auditsEnabled = enabled; }
-    bool auditsEnabled() const { return _auditsEnabled; }
-
     /**
      * Run all reporter audits plus the event-slab census check;
      * panics with every failure if any invariant does not hold.
-     * No-op while audits are disabled.
      * @param point How quiet the machine claims to be.
      * @param where Phase-boundary name for the failure message.
      */
@@ -290,7 +285,6 @@ class Monitor
     Tick _interval = 0;
     Tick _deadline = 0;
     EventHandle _scanEvent;
-    bool _auditsEnabled = true;
     std::string _dumpFile;
 
     StatGroup _stats{"health"};

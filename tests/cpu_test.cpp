@@ -242,6 +242,20 @@ TEST(Proc, AdvanceToNeverRewinds)
     EXPECT_EQ(r.proc->time(), t + 5);
 }
 
+/** Every access goes through the L1 and every PIO beat over the bus. */
+TEST(Proc, RejectsMissingL1OrBus)
+{
+    Rig r;
+    CpuParams cp = Rig::makeCpu();
+    cp.name = "test_cpu";
+    const char *diagnostic =
+        "cpu test_cpu: needs an L1 data cache and a node bus";
+    EXPECT_EXIT(Proc(cp, 0, nullptr, r.bus.get()),
+                ::testing::ExitedWithCode(1), diagnostic);
+    EXPECT_EXIT(Proc(cp, 0, r.l1.get(), nullptr),
+                ::testing::ExitedWithCode(1), diagnostic);
+}
+
 TEST(Tlb, DirectMappedConflicts)
 {
     TlbParams tp;

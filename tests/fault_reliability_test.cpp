@@ -103,8 +103,8 @@ TEST(FaultModel, SameSeedSameSiteSameDecisions)
     for (unsigned i = 0; i < 5000; ++i) {
         std::uint64_t w1 = i * 0x9e3779b97f4a7c15ull;
         std::uint64_t w2 = w1;
-        const bool d1 = s1->filterWord(w1);
-        const bool d2 = s2->filterWord(w2);
+        const bool d1 = s1->filterWord(w1, i);
+        const bool d2 = s2->filterWord(w2, i);
         ASSERT_EQ(d1, d2) << "word " << i;
         ASSERT_EQ(w1, w2) << "word " << i;
     }
@@ -119,7 +119,7 @@ TEST(FaultModel, DifferentSitesDrawIndependentStreams)
     unsigned differ = 0;
     for (unsigned i = 0; i < 256; ++i) {
         std::uint64_t w = 1;
-        if (s1->filterWord(w) != s2->filterWord(w))
+        if (s1->filterWord(w, i) != s2->filterWord(w, i))
             ++differ;
     }
     EXPECT_GT(differ, 0u);
@@ -133,8 +133,8 @@ TEST(FaultModel, PatternOverridesSelectSites)
     sim::FaultSite *hit = m.site("cluster0.xbar.link0");
     sim::FaultSite *miss = m.site("cluster1.xbar.link0");
     std::uint64_t w = 42;
-    EXPECT_TRUE(hit->filterWord(w));
-    EXPECT_FALSE(miss->filterWord(w));
+    EXPECT_TRUE(hit->filterWord(w, 0));
+    EXPECT_FALSE(miss->filterWord(w, 0));
     EXPECT_EQ(w, 42u); // no BER configured: never corrupted
 }
 

@@ -1,19 +1,18 @@
 /**
  * @file
  * The pass-1 project model: everything pmlint's link stage needs to
- * know about one translation unit, in a compact, serializable form.
+ * know about one translation unit.
  *
- * One TuIndex per file, a pure function of that file's bytes (keyed by
- * a content hash so CI can cache pass 1 across runs). The link stage
- * (link.hh) merges all TuIndexes and enforces the cross-TU rules —
- * dangling-capture, layering, stale-annotation — then applies
- * suppression annotations to the combined finding set.
+ * One TuIndex per file, a pure function of that file's bytes, held in
+ * memory for one run. The link stage (link.hh) merges all TuIndexes
+ * and enforces the cross-TU rules — dangling-capture, layering,
+ * stale-annotation — then applies suppression annotations to the
+ * combined finding set.
  */
 
 #ifndef PM_PMLINT_MODEL_HH
 #define PM_PMLINT_MODEL_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -47,24 +46,12 @@ struct LambdaSite
 struct TuIndex
 {
     std::string relPath; //!< Root-relative, '/'-separated.
-    std::uint64_t contentHash = 0; //!< FNV-1a64 of the file bytes.
     std::vector<Diagnostic> findings; //!< Raw per-file rule findings.
     std::vector<Annotation> annotations;
     std::vector<IncludeEdge> includes;
     std::vector<LambdaSite> lambdas;
     std::vector<std::string> sinks; //!< Functions taking an EventFn.
 };
-
-/** FNV-1a 64-bit — the index cache key. */
-std::uint64_t fnv1a64(const std::string &bytes);
-
-/**
- * Serialize to the versioned line-oriented index format (the CI cache
- * payload). deserialize() returns false on version mismatch or any
- * malformed record — callers treat that as a cache miss and rescan.
- */
-std::string serialize(const TuIndex &tu);
-bool deserialize(const std::string &text, TuIndex &tu);
 
 } // namespace pmlint
 

@@ -204,11 +204,10 @@ class Indexer
 } // namespace
 
 TuIndex
-indexFile(const SourceFile &f, std::uint64_t contentHash)
+indexFile(const SourceFile &f)
 {
     TuIndex tu;
     tu.relPath = f.relPath;
-    tu.contentHash = contentHash;
     tu.findings = checkFile(f);
     tu.annotations = f.annotations;
     for (const PpDirective &d : f.directives) {

@@ -17,7 +17,7 @@
 namespace pmlint {
 
 /** Build the full pass-1 index for one file. */
-TuIndex indexFile(const SourceFile &file, std::uint64_t contentHash);
+TuIndex indexFile(const SourceFile &file);
 
 } // namespace pmlint
 

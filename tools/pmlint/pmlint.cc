@@ -53,15 +53,12 @@ constexpr const char *kUsage =
     "  --jsonl            one JSON object per finding on stdout\n"
     "                     (file, line, col, rule, message) instead of\n"
     "                     the sorted text format\n"
-    "  --index-cache DIR  reuse pass-1 indexes cached in DIR, keyed on\n"
-    "                     a content hash of each file; missing or\n"
-    "                     stale entries are rescanned and rewritten\n"
     "  -h, --help         this text\n"
     "\n"
     "exit status:\n"
     "  0  clean (no findings)\n"
     "  1  findings were reported\n"
-    "  2  usage error, unreadable input, or unwritable cache\n";
+    "  2  usage error or unreadable input\n";
 
 bool
 lintableFile(const fs::path &p)
@@ -124,18 +121,6 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-/** Cache file for one (root, relPath): content-addressed by name. */
-fs::path
-cacheEntry(const fs::path &cacheDir, const std::string &rootArg,
-           const std::string &relPath)
-{
-    const std::uint64_t key = pmlint::fnv1a64(rootArg + "\n" + relPath);
-    char name[32];
-    std::snprintf(name, sizeof name, "%016llx.idx",
-                  static_cast<unsigned long long>(key));
-    return cacheDir / name;
-}
-
 } // namespace
 
 int
@@ -143,7 +128,6 @@ main(int argc, char **argv)
 {
     std::vector<std::string> roots;
     bool jsonl = false;
-    std::string cacheDir;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
@@ -152,15 +136,6 @@ main(int argc, char **argv)
         }
         if (arg == "--jsonl") {
             jsonl = true;
-            continue;
-        }
-        if (arg == "--index-cache") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "pmlint: --index-cache needs a directory\n");
-                return 2;
-            }
-            cacheDir = argv[++i];
             continue;
         }
         if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
@@ -176,19 +151,9 @@ main(int argc, char **argv)
                      "tools)\n");
         return 2;
     }
-    if (!cacheDir.empty()) {
-        std::error_code ec;
-        fs::create_directories(cacheDir, ec);
-        if (ec) {
-            std::fprintf(stderr, "pmlint: cannot create cache dir %s\n",
-                         cacheDir.c_str());
-            return 2;
-        }
-    }
 
-    // Pass 1: index every TU (from cache when the content hash holds).
+    // Pass 1: index every TU.
     std::vector<pmlint::TuIndex> tus;
-    unsigned filesChecked = 0;
     for (const std::string &rootArg : roots) {
         std::error_code ec;
         const fs::path root(rootArg);
@@ -206,33 +171,8 @@ main(int argc, char **argv)
             }
             std::ostringstream text;
             text << in.rdbuf();
-            const std::string bytes = text.str();
-            const std::uint64_t hash = pmlint::fnv1a64(bytes);
-            ++filesChecked;
-
-            fs::path entry;
-            if (!cacheDir.empty()) {
-                entry = cacheEntry(cacheDir, rootArg, relPath);
-                std::ifstream cached(entry, std::ios::binary);
-                if (cached) {
-                    std::ostringstream ctext;
-                    ctext << cached.rdbuf();
-                    pmlint::TuIndex tu;
-                    if (pmlint::deserialize(ctext.str(), tu) &&
-                        tu.contentHash == hash && tu.relPath == relPath) {
-                        tus.push_back(std::move(tu));
-                        continue;
-                    }
-                }
-            }
-            pmlint::TuIndex tu =
-                pmlint::indexFile(pmlint::scan(relPath, bytes), hash);
-            if (!cacheDir.empty()) {
-                std::ofstream outFile(entry, std::ios::binary);
-                if (outFile)
-                    outFile << pmlint::serialize(tu);
-            }
-            tus.push_back(std::move(tu));
+            tus.push_back(
+                pmlint::indexFile(pmlint::scan(relPath, text.str())));
         }
     }
 
@@ -252,9 +192,9 @@ main(int argc, char **argv)
         std::printf("%s:%d:%d: [%s] %s\n", d.relPath.c_str(), d.line,
                     d.col, d.rule.c_str(), d.message.c_str());
     if (!diags.empty()) {
-        std::printf("pmlint: %zu finding%s in %u file%s\n", diags.size(),
-                    diags.size() == 1 ? "" : "s", filesChecked,
-                    filesChecked == 1 ? "" : "s");
+        std::printf("pmlint: %zu finding%s in %zu file%s\n", diags.size(),
+                    diags.size() == 1 ? "" : "s", tus.size(),
+                    tus.size() == 1 ? "" : "s");
         return 1;
     }
     return 0;
