@@ -29,19 +29,14 @@ NodeRt::NodeRt(Runtime &rt, unsigned nodeId)
 {
     // CRC failures are absorbed by the driver's retransmit protocol;
     // only an exhausted retry budget (a dead link) reaches the runtime.
-    // Rather than stopping the whole machine, record the death and
-    // degrade: the callback fires inside a driver event, so it only
-    // queues a node-local report — the machine-wide bookkeeping runs
-    // in Runtime::drainDeathReports() between events.
+    // Rather than stopping the whole machine, degrade without the peer.
     _comm.onDeliveryFailure(
         [this](unsigned dst, std::uint64_t seq, unsigned abandoned) {
-            _deathReports.push_back(
-                DeathReport{dst, seq, abandoned, _comm.now()});
+            _rt.peerDied(*this, dst, seq, abandoned);
         });
     // Resumed machines (a System that ran probes before the runtime
     // was built) start the clock at the drained machine's "now".
-    _lastActivity =
-        std::max(rt.system().queue().now(), _comm.proc().time());
+    noteActivity();
     armReceiver();
 }
 
@@ -175,15 +170,14 @@ NodeRt::putRemote(unsigned node, Addr addr, std::uint64_t value,
 void
 NodeRt::noteActivity()
 {
-    // Captured inside this node's own events or between events.
-    _lastActivity =
-        std::max({_lastActivity, _comm.now(), _comm.proc().time()});
+    _rt._lastActivity =
+        std::max({_rt._lastActivity, _comm.now(), _comm.proc().time()});
 }
 
 void
 NodeRt::send(unsigned dstNode, std::vector<std::uint64_t> token)
 {
-    ++_tokensSent;
+    ++_rt._inFlight;
     noteActivity();
     _comm.postSend(dstNode, std::move(token));
 }
@@ -211,7 +205,7 @@ NodeRt::failPendingGets(unsigned deadPeer)
 void
 NodeRt::handleToken(std::vector<std::uint64_t> w)
 {
-    ++_tokensHandled;
+    --_rt._inFlight;
     proc().stallCycles(_rt.costs().requestHandling);
     noteActivity();
     if (w.empty())
@@ -320,33 +314,10 @@ Runtime::function(std::uint32_t fnId) const
     return it->second;
 }
 
-std::int64_t
-Runtime::tokensInFlight() const
-{
-    std::int64_t inFlight = 0;
-    for (const auto &n : _nodes)
-        inFlight += static_cast<std::int64_t>(n->_tokensSent) -
-                    static_cast<std::int64_t>(n->_tokensHandled) -
-                    static_cast<std::int64_t>(n->_tokensWrittenOff);
-    return inFlight;
-}
-
-Tick
-Runtime::lastActivity() const
-{
-    Tick t = 0;
-    for (const auto &n : _nodes)
-        t = std::max(t, n->_lastActivity);
-    return t;
-}
-
 bool
 Runtime::quiescent() const
 {
-    for (const auto &n : _nodes)
-        if (!n->_deathReports.empty())
-            return false;
-    if (tokensInFlight() > 0)
+    if (_inFlight > 0)
         return false;
     for (const auto &n : _nodes)
         if (!n->_ready.empty() || n->queue().scheduled(n->_euEvent))
@@ -361,38 +332,23 @@ Runtime::run()
     // pm_assert inside the fibers) must resolve this System's tick
     // and dump hooks even with sibling simulations in the process.
     sim::Context::Scope scope(_sys.context());
-    drainDeathReports();
-    const Tick start = lastActivity();
+    const Tick start = _lastActivity;
 
-    // Quiescence (and the death reports feeding it) is judged between
-    // events.
-    while (true) {
-        drainDeathReports();
-        if (quiescent())
-            break;
-        if (!_sys.queue().step())
-            break;
+    while (!quiescent() && _sys.queue().step()) {
     }
-    drainDeathReports();
     if (!quiescent())
         pm_panic("earth: deadlock — event queue drained while fibers or "
                  "tokens remain");
 
-    // The program is done; elapsed time is measured on the node-local
-    // activity stamps, not on the queue clock.
-    const Tick end = lastActivity();
+    // The program is done; elapsed time is measured on the activity
+    // stamp, not on the queue clock.
+    const Tick end = _lastActivity;
 
     if (_deadPeers.empty()) {
         // Drain trailing ACK handshakes so the next run() — and any
         // post-run stats read — starts from a fully quiescent machine.
         // Impossible once a peer died: its wedged sends never quiesce,
         // so the survivors' state is read at quiescence instead.
-        const auto died = [&] {
-            for (const auto &n : _nodes)
-                if (!n->_deathReports.empty())
-                    return true;
-            return false;
-        };
         const auto quiet = [&] {
             for (const auto &n : _nodes)
                 if (!n->_comm.quiescent())
@@ -400,12 +356,11 @@ Runtime::run()
             return _sys.fabric().wireQuiet();
         };
         // A peer can still die *during* the drain (a retransmit burst
-        // exhausting its budget): bail out and leave the report for
-        // the next run() rather than spin on a wire that will never
-        // go quiet.
-        while (!died() && !quiet() && _sys.queue().step()) {
+        // exhausting its budget): stop there rather than spin on a
+        // wire that will never go quiet.
+        while (_deadPeers.empty() && !quiet() && _sys.queue().step()) {
         }
-        if (!died() && quiet())
+        if (_deadPeers.empty() && quiet())
             _sys.auditQuiescent("earth.run");
     }
 
@@ -415,46 +370,19 @@ Runtime::run()
 // ---- Graceful peer-death degradation. -------------------------------------
 
 void
-Runtime::drainDeathReports()
+Runtime::peerDied(NodeRt &node, unsigned deadPeer, std::uint64_t seq,
+                  unsigned abandoned)
 {
-    struct Item
-    {
-        NodeRt::DeathReport report;
-        unsigned node = 0;
-    };
-    std::vector<Item> all;
-    for (const auto &n : _nodes) {
-        for (const auto &r : n->_deathReports)
-            all.push_back(Item{r, n->_nodeId});
-        n->_deathReports.clear();
-    }
-    if (all.empty())
-        return;
-    std::sort(all.begin(), all.end(), [](const Item &a, const Item &b) {
-        if (a.report.tick != b.report.tick)
-            return a.report.tick < b.report.tick;
-        if (a.node != b.node)
-            return a.node < b.node;
-        return a.report.seq < b.report.seq;
-    });
-    for (const Item &it : all) {
-        NodeRt &node = *_nodes[it.node];
-        pm_warn("earth: node %u gave up on node %u at seq %llu "
-                "(%u tokens written off); degrading without it",
-                it.node, it.report.deadPeer,
-                (unsigned long long)it.report.seq, it.report.abandoned);
-        _deadPeers.insert(it.report.deadPeer);
-        // The abandoned tokens will never be handled; leaving them
-        // counted would turn every later run() into the deadlock
-        // panic. The count is an upper bound (a lost ACK makes
-        // delivery of the oldest message ambiguous — two-generals),
-        // which is why tokensInFlight() is signed and <= 0 reads as
-        // quiescent.
-        node._tokensWrittenOff += it.report.abandoned;
-        node.failPendingGets(it.report.deadPeer);
-        if (_onPeerDeath)
-            _onPeerDeath(it.node, it.report.deadPeer);
-    }
+    pm_warn("earth: node %u gave up on node %u at seq %llu "
+            "(%u tokens written off); degrading without it",
+            node._nodeId, deadPeer, (unsigned long long)seq, abandoned);
+    _deadPeers.insert(deadPeer);
+    // The abandoned tokens will never be handled; leaving them counted
+    // would turn every later run() into the deadlock panic.
+    _inFlight -= abandoned;
+    node.failPendingGets(deadPeer);
+    if (_onPeerDeath)
+        _onPeerDeath(node._nodeId, deadPeer);
 }
 
 std::vector<unsigned>
@@ -466,19 +394,17 @@ Runtime::deadPeers() const
 void
 Runtime::checkHealth(sim::health::Check &check)
 {
-    const std::int64_t inFlight = tokensInFlight();
-    const Tick last = lastActivity();
-    if (inFlight > 0 && check.expired(last))
+    if (_inFlight > 0 && check.expired(_lastActivity))
         check.report("%llu token(s) in flight but none handled since "
                      "tick %llu (fibers starved?)",
-                     (unsigned long long)inFlight,
-                     (unsigned long long)last);
+                     (unsigned long long)_inFlight,
+                     (unsigned long long)_lastActivity);
 }
 
 void
 Runtime::dumpState(std::ostream &os) const
 {
-    os << "  inFlight=" << std::max<std::int64_t>(0, tokensInFlight())
+    os << "  inFlight=" << std::max<std::int64_t>(0, _inFlight)
        << " deadPeers={";
     const char *sep = "";
     for (unsigned p : _deadPeers) {

@@ -153,21 +153,6 @@ class NodeRt
         SlotRef slot;
     };
 
-    /**
-     * A delivery failure recorded by this node's transport callback.
-     * The callback runs inside a driver event, so it only appends
-     * here; Runtime::drainDeathReports() (between events) sorts all
-     * nodes' reports and applies the machine-wide consequences
-     * deterministically.
-     */
-    struct DeathReport
-    {
-        unsigned deadPeer = 0;
-        std::uint64_t seq = 0;
-        unsigned abandoned = 0;
-        Tick tick = 0;
-    };
-
     Runtime &_rt;
     unsigned _nodeId;
     msg::PmComm _comm;
@@ -178,15 +163,6 @@ class NodeRt
     std::map<std::uint32_t, PendingGet> _gets;
     std::uint32_t _nextGet = 1;
     sim::EventHandle _euEvent; //!< Live while an EU step is queued.
-
-    // Node-local token accounting: only this node's callbacks write
-    // these; the Runtime folds them into machine-wide quiescence/health
-    // sums between events.
-    std::uint64_t _tokensSent = 0;
-    std::uint64_t _tokensHandled = 0;
-    std::uint64_t _tokensWrittenOff = 0;
-    Tick _lastActivity = 0; //!< Last send/handle/fiber, node-local.
-    std::vector<DeathReport> _deathReports;
 
     /** The event queue this node's EU and driver live on. */
     sim::EventQueue &queue() { return _comm.queue(); }
@@ -256,7 +232,10 @@ class Runtime : public sim::health::Reporter
      */
     std::vector<unsigned> deadPeers() const;
 
-    /** Install a handler invoked once per (node, dead peer) report. */
+    /**
+     * Install a handler invoked once per (node, dead peer) report,
+     * inside the driver event in which the transport gave up.
+     */
     void onPeerDeath(PeerDeathFn fn) { _onPeerDeath = std::move(fn); }
 
     /** @name sim::health::Reporter */
@@ -280,28 +259,26 @@ class Runtime : public sim::health::Reporter
     PeerDeathFn _onPeerDeath;
     std::string _healthName = "earth";
 
+    /**
+     * Tokens sent but not yet handled or written off. Signed and
+     * possibly negative: a write-off is an upper bound (a lost ACK
+     * makes delivery of the oldest message ambiguous — two-generals),
+     * so <= 0 reads as "none in flight".
+     */
+    std::int64_t _inFlight = 0;
+    Tick _lastActivity = 0; //!< Latest send/handle/fiber on any node.
+
     bool quiescent() const;
     const ThreadedFn &function(std::uint32_t fnId) const;
 
     /**
-     * Tokens sent but not yet handled or written off, summed over all
-     * nodes. Signed and possibly negative: a write-off is an upper
-     * bound (a lost ACK makes delivery of the oldest message ambiguous
-     * — two-generals), so <= 0 reads as "none in flight".
+     * `node`'s transport gave up on `deadPeer` at `seq`, abandoning
+     * `abandoned` tokens: warn, mark the peer dead machine-wide, write
+     * off the tokens, drop `node`'s GETs awaiting the peer, and fire
+     * the user callback. Runs inside the failing driver event.
      */
-    std::int64_t tokensInFlight() const;
-
-    /** Latest node-local activity stamp (send/handle/fiber). */
-    Tick lastActivity() const;
-
-    /**
-     * Apply all nodes' queued delivery-failure reports, sorted by
-     * (tick, node, seq): warn, mark the peer dead machine-wide, write
-     * off the abandoned tokens, drop GETs awaiting the dead peer, and
-     * fire the user callback. Runs between events, so the user
-     * callback and the pm_warn order are deterministic.
-     */
-    void drainDeathReports();
+    void peerDied(NodeRt &node, unsigned deadPeer, std::uint64_t seq,
+                  unsigned abandoned);
 };
 
 } // namespace pm::earth

@@ -47,7 +47,6 @@ Fabric::buildNetwork(unsigned n)
     for (unsigned node = 0; node < numNodes(); ++node) {
         ni::LinkIfParams np = _p.ni;
         np.name = "ni.n" + std::to_string(node) + tag;
-        np.link = _p.nodeLink;
         np.link.fault = _p.fault;
         net.nis.push_back(std::make_unique<ni::LinkInterface>(np, _queue));
 

@@ -37,8 +37,7 @@ struct FabricParams
     unsigned networks = 2; //!< Duplicated network (Section 2).
     net::CrossbarParams xbar;
     net::TransceiverParams xcvr;
-    ni::LinkIfParams ni;
-    net::LinkParams nodeLink; //!< Node -> cluster crossbar direction.
+    ni::LinkIfParams ni; //!< `link` times the node -> crossbar hop.
 
     /**
      * Optional fault injection; propagated into every link direction

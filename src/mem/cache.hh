@@ -132,9 +132,6 @@ class Cache
     /** Invalidate the entire cache (between experiment phases). */
     void invalidateAll();
 
-    /** The inclusive upper level, if any (set by the upper's ctor). */
-    Cache *upper() const { return _upper; }
-
     /** Statistics group for this cache. */
     sim::StatGroup &stats() { return _stats; }
 

@@ -102,9 +102,8 @@ Communicator::barrier()
     const unsigned R = rounds();
     const Tick start = opStart(_sys, _comms);
 
-    // Per-rank state only: rank r's entry is touched exclusively by
-    // rank r's own send/recv callbacks. Completion is judged by the
-    // driving thread scanning the finished flags between events.
+    // Rank r's progress; runUntil() scans the finished flags between
+    // events.
     struct RankState
     {
         unsigned round = 0; //!< Next round to start.
@@ -176,8 +175,8 @@ Communicator::broadcast(unsigned root,
         pm_fatal("broadcast: bad root %u", root);
     const Tick start = opStart(_sys, _comms);
 
-    // Per-rank state only (see barrier): rank r finishes once it
-    // holds the payload and its last subtree send has completed.
+    // Rank r finishes once it holds the payload and its last subtree
+    // send has completed.
     struct RankState
     {
         bool have = false;
@@ -262,9 +261,8 @@ Communicator::reduceSum(
             pm_fatal("reduceSum: contributions differ in length");
     const Tick start = opStart(_sys, _comms);
 
-    // Indexed by *virtual* rank; entry v is touched only by real rank
-    // real(v)'s callbacks. The root's result is copied out on the
-    // driving thread after the run, never written from a callback.
+    // Indexed by *virtual* rank: entry v is real rank real(v)'s
+    // accumulator. The root's result is copied out after the run.
     struct RankState
     {
         std::vector<std::uint64_t> acc;

@@ -24,7 +24,7 @@ Crossbar::Crossbar(const CrossbarParams &params, sim::EventQueue &queue)
         // T, not from 0.
         _in[i].fifo->setFillCallback([this, i] {
             _in[i].lastMove = _queue.now();
-            schedulePump(i);
+            wake(i, _queue.now());
         });
     }
     _stats.add(&routesEstablished);
@@ -72,8 +72,7 @@ Crossbar::reset()
         in.fifo->clear();
         in.target = -1;
         in.waiting = false;
-        _queue.cancel(in.pumpEvent);
-        in.pumpAt = 0;
+        in.pump.cancel(_queue);
         in.lastMove = _queue.now();
     }
     for (auto &out : _out) {
@@ -82,25 +81,6 @@ Crossbar::reset()
         if (out.tx)
             out.tx->reset();
     }
-}
-
-void
-Crossbar::schedulePump(unsigned i)
-{
-    schedulePumpAt(i, _queue.now());
-}
-
-void
-Crossbar::schedulePumpAt(unsigned i, Tick when)
-{
-    Input &in = _in[i];
-    if (_queue.scheduled(in.pumpEvent)) {
-        if (in.pumpAt <= when)
-            return; // an earlier (or equal) pump already covers this
-        _queue.cancel(in.pumpEvent);
-    }
-    in.pumpAt = when;
-    in.pumpEvent = _queue.schedule(when, [this, i] { pump(i); });
 }
 
 void
@@ -144,22 +124,17 @@ Crossbar::pump(unsigned i)
         _ring.push(_queue.now(), "route", i, o);
         pm_trace(_queue.now(), "xbar", "%s: route in%u -> out%u",
                  _p.name.c_str(), i, o);
-        schedulePumpAt(i, _queue.now() + _p.routeLatency);
+        // Known gap: a symbol arriving during the setup asks for a pump
+        // at its arrival, which supersedes this one, so the setup is
+        // charged only when nothing arrives meanwhile (DESIGN.md §4).
+        wake(i, _queue.now() + _p.routeLatency);
         return;
     }
 
     Output &out = _out[in.target];
     LinkTx &tx = *out.tx;
-    if (!tx.canSend(_queue.now())) {
-        if (tx.busyUntil() > _queue.now()) {
-            schedulePumpAt(i, tx.busyUntil());
-        } else {
-            // Receiver full: the stop signal is asserted; resume when
-            // the downstream FIFO drains.
-            tx.onReceiverSpace([this, i] { schedulePump(i); });
-        }
+    if (!tx.ready(_queue.now(), [this, i](Tick t) { wake(i, t); }))
         return;
-    }
 
     const Symbol sym = in.fifo->pop();
     ++symbolsForwarded;
@@ -179,13 +154,13 @@ Crossbar::pump(unsigned i)
             const unsigned w = out.waiters.front();
             out.waiters.pop_front();
             _in[w].waiting = false;
-            schedulePump(w);
+            wake(w, _queue.now());
         }
         (void)o;
     }
 
     if (!in.fifo->empty())
-        schedulePumpAt(i, wireFree);
+        wake(i, wireFree);
 }
 
 bool

@@ -95,8 +95,7 @@ class Crossbar : public sim::health::Reporter
         std::unique_ptr<InputFifo> fifo;
         int target = -1; //!< Routed output channel, -1 when unrouted.
         bool waiting = false; //!< Parked on a busy output's wait list.
-        sim::EventHandle pumpEvent; //!< Live while a pump is scheduled.
-        Tick pumpAt = 0; //!< When it will fire.
+        Pump pump;
         Tick lastMove = 0; //!< Last tick a symbol arrived or advanced.
     };
 
@@ -117,15 +116,12 @@ class Crossbar : public sim::health::Reporter
     /** Try to make progress on input `i` (idempotent). */
     void pump(unsigned i);
 
-    /** Schedule an immediate pump for input `i` (deduplicated). */
-    void schedulePump(unsigned i);
-
-    /**
-     * Schedule a pump at an absolute time, keeping at most one pump
-     * event outstanding per input (an earlier request supersedes a
-     * later one).
-     */
-    void schedulePumpAt(unsigned i, Tick when);
+    /** Pump input `i` at `when` (see Pump). */
+    void
+    wake(unsigned i, Tick when)
+    {
+        _in[i].pump.at(_queue, when, [this, i] { pump(i); });
+    }
 };
 
 } // namespace pm::net

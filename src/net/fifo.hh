@@ -3,10 +3,11 @@
  * Input FIFOs with soft flow control.
  *
  * Every receiving element of the network — a crossbar input channel, a
- * transceiver buffer, a link-interface receive buffer — is an
- * InputFifo. The sender-side *stop* signal of the link protocol is
- * modelled by the sender checking hasSpace() before transmitting and
- * subscribing to a drain notification when the FIFO is full.
+ * transceiver buffer, a link-interface receive buffer — is a
+ * SymbolSink. The sender-side *stop* signal of the link protocol is
+ * modelled by the sender checking freeSpace() before transmitting and
+ * waiting on the sink's one list of stop-signal waiters when it is
+ * full (LinkTx::ready).
  */
 
 #ifndef PM_NET_FIFO_HH
@@ -32,11 +33,11 @@ class SymbolSink
   public:
     virtual ~SymbolSink() = default;
 
-    /** Can one more symbol be accepted? (The stop signal, inverted.) */
-    [[nodiscard]] virtual bool hasSpace() const = 0;
-
     /** Number of further symbols acceptable right now. */
     [[nodiscard]] virtual unsigned freeSpace() const = 0;
+
+    /** Can one more symbol be accepted? (The stop signal, inverted.) */
+    [[nodiscard]] bool hasSpace() const { return freeSpace() > 0; }
 
     /** Deliver a symbol; only legal when hasSpace(). */
     virtual void push(const Symbol &sym, Tick now) = 0;
@@ -48,7 +49,36 @@ class SymbolSink
      * this sits on the per-symbol wire path (the std-function lint
      * rule fences the whole of src/net for the same reason).
      */
-    virtual void onSpace(sim::EventFn cb) = 0;
+    void onSpace(sim::EventFn cb) { _waiters.push_back(std::move(cb)); }
+
+    /** Senders waiting for the stop signal's release. */
+    [[nodiscard]] std::size_t waiters() const { return _waiters.size(); }
+
+    /**
+     * The receiver freed space: run every waiter once, in the order
+     * they subscribed. Waiters that subscribe while these run wait for
+     * the next release.
+     */
+    void
+    releaseWaiters()
+    {
+        if (_waiters.empty())
+            return;
+        std::vector<sim::EventFn> cbs;
+        cbs.swap(_waiters);
+        for (auto &cb : cbs)
+            cb();
+    }
+
+    /**
+     * Forget every waiter without running it (reset between runs):
+     * waking a throttled sender into a torn-down configuration would
+     * re-enter elements mid-reset with stale state.
+     */
+    void dropWaiters() { _waiters.clear(); }
+
+  private:
+    std::vector<sim::EventFn> _waiters;
 };
 
 /** A bounded FIFO of symbols, counted in wire capacity. */
@@ -74,11 +104,6 @@ class InputFifo : public SymbolSink
     }
     [[nodiscard]] bool empty() const { return _q.empty(); }
 
-    [[nodiscard]] bool hasSpace() const override
-    {
-        return _q.size() < _capacity;
-    }
-
     [[nodiscard]] unsigned
     freeSpace() const override
     {
@@ -97,12 +122,6 @@ class InputFifo : public SymbolSink
                                   static_cast<double>(_q.size())));
         if (_fillCb)
             _fillCb();
-    }
-
-    void
-    onSpace(sim::EventFn cb) override
-    {
-        _spaceCbs.push_back(std::move(cb));
     }
 
     /**
@@ -128,25 +147,23 @@ class InputFifo : public SymbolSink
                   _name.c_str());
         Symbol s = _q.front();
         _q.pop_front();
-        notifySpace();
+        releaseWaiters();
         return s;
     }
 
     /**
-     * Drop all contents and all one-shot space callbacks (reset
-     * between runs). Deliberately does NOT fire the space callbacks:
-     * waking a throttled sender into a torn-down configuration
-     * re-enters elements mid-reset with stale state. The persistent
-     * fill callback survives — it is part of the FIFO's wiring, not
-     * of a run's state, and dropping it here used to force every
-     * owner to remember to re-register after reset (the ones that
-     * forgot received symbols into a deaf FIFO on the next run).
+     * Drop all contents and, without running them, all waiters (reset
+     * between runs; see dropWaiters()). The persistent fill callback
+     * survives — it is part of the FIFO's wiring, not of a run's
+     * state, and dropping it here used to force every owner to
+     * remember to re-register after reset (the ones that forgot
+     * received symbols into a deaf FIFO on the next run).
      */
     void
     clear()
     {
         _q.clear();
-        _spaceCbs.clear();
+        dropWaiters();
     }
 
     /** One-line forensic snapshot: occupancy, watermark, head symbol. */
@@ -155,7 +172,7 @@ class InputFifo : public SymbolSink
     {
         os << _name << ": " << _q.size() << "/" << _capacity
            << " (peak " << static_cast<unsigned>(maxOccupancy.value())
-           << ", waiters " << _spaceCbs.size() << ")";
+           << ", waiters " << waiters() << ")";
         if (!_q.empty())
             os << " head=" << symKindName(_q.front().kind);
         os << "\n";
@@ -167,19 +184,7 @@ class InputFifo : public SymbolSink
     std::string _name;
     unsigned _capacity;
     std::deque<Symbol> _q;
-    std::vector<sim::EventFn> _spaceCbs;
     sim::EventFn _fillCb;
-
-    void
-    notifySpace()
-    {
-        if (_spaceCbs.empty())
-            return;
-        std::vector<sim::EventFn> cbs;
-        cbs.swap(_spaceCbs);
-        for (auto &cb : cbs)
-            cb();
-    }
 };
 
 } // namespace pm::net

@@ -6,12 +6,19 @@
  * the wire byte rate and delivers them into the receiver's FIFO,
  * honouring the stop-signal flow control by never overrunning the
  * receiver's buffer (in-flight symbols are counted against its space).
+ *
+ * Every element that forwards onto a link — a link interface's send
+ * side, a crossbar input, a transceiver — drives it the same way: one
+ * pending pump event (Pump), held back by a busy wire or the
+ * receiver's stop signal (LinkTx::ready).
  */
 
 #ifndef PM_NET_LINK_HH
 #define PM_NET_LINK_HH
 
+#include <concepts>
 #include <string>
+#include <utility>
 
 #include "net/fifo.hh"
 #include "net/symbol.hh"
@@ -53,7 +60,6 @@ class LinkTx
 
     const std::string &name() const { return _name; }
     const LinkParams &params() const { return _p; }
-    SymbolSink *sink() const { return _sink; }
 
     /** Symbols sent but not yet delivered (wire-quiescence checks). */
     [[nodiscard]] unsigned inflight() const { return _inflight; }
@@ -72,6 +78,26 @@ class LinkTx
         if (_site && _site->upAt(now) > now)
             return false;
         return _sink->freeSpace() > _inflight;
+    }
+
+    /**
+     * Can a symbol go now? If not, arrange for `wake(Tick)` to be
+     * called with the tick to try again: at once with busyUntil() when
+     * the wire is busy or down, else with the tick at which the
+     * receiver next frees space (the stop signal's release).
+     */
+    template <typename Wake>
+    [[nodiscard]] bool
+    ready(Tick now, Wake wake)
+    {
+        if (canSend(now))
+            return true;
+        const Tick busy = busyUntil();
+        if (busy > now)
+            wake(busy);
+        else
+            _sink->onSpace([this, wake] { wake(_queue.now()); });
+        return false;
     }
 
     /** Wire busy horizon (for rescheduling pumps). */
@@ -123,9 +149,6 @@ class LinkTx
         return _busyUntil;
     }
 
-    /** Subscribe to receiver-space availability (stop released). */
-    void onReceiverSpace(sim::EventFn cb) { _sink->onSpace(std::move(cb)); }
-
     /**
      * Forget all wire state between experiment runs. Delivery events
      * for symbols already in flight cannot be cancelled (they hold no
@@ -151,6 +174,40 @@ class LinkTx
     Tick _busyUntil = 0;
     unsigned _inflight = 0;
     unsigned _gen = 0; //!< Bumped by reset() to void in-flight symbols.
+};
+
+/**
+ * The one pending pump event of a forwarding element. An earlier
+ * request cancels the pending pump and takes its place; a later or
+ * equal one is already covered by it and changes nothing.
+ */
+class Pump
+{
+  public:
+    /**
+     * Run `fn` at `when` unless a pump at or before `when` is pending.
+     * `fn` is named an EventFn in the signature so that pmlint's
+     * dangling-capture rule treats `at` as the EventFn sink it is.
+     */
+    void
+    at(sim::EventQueue &queue, Tick when,
+       std::convertible_to<sim::EventFn> auto &&fn)
+    {
+        if (queue.scheduled(_event)) {
+            if (_at <= when)
+                return;
+            queue.cancel(_event);
+        }
+        _at = when;
+        _event = queue.schedule(when, std::forward<decltype(fn)>(fn));
+    }
+
+    /** Drop the pending pump, if any (reset between runs). */
+    void cancel(sim::EventQueue &queue) { queue.cancel(_event); }
+
+  private:
+    sim::EventHandle _event; //!< Live while a pump is scheduled.
+    Tick _at = 0; //!< When it will fire.
 };
 
 } // namespace pm::net

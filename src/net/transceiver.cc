@@ -26,7 +26,7 @@ Transceiver::Transceiver(const TransceiverParams &params,
     // Arrival counts as progress for the stall watchdog.
     _in.setFillCallback([this] {
         _lastMove = _queue.now();
-        schedulePump();
+        wake(_queue.now());
     });
 }
 
@@ -44,29 +44,10 @@ void
 Transceiver::reset()
 {
     _in.clear();
-    _queue.cancel(_pumpEvent);
-    _pumpAt = 0;
+    _pump.cancel(_queue);
     _lastMove = _queue.now();
     if (_tx)
         _tx->reset();
-}
-
-void
-Transceiver::schedulePump()
-{
-    schedulePumpAt(_queue.now());
-}
-
-void
-Transceiver::schedulePumpAt(Tick when)
-{
-    if (_queue.scheduled(_pumpEvent)) {
-        if (_pumpAt <= when)
-            return;
-        _queue.cancel(_pumpEvent);
-    }
-    _pumpAt = when;
-    _pumpEvent = _queue.schedule(when, [this] { pump(); });
 }
 
 void
@@ -76,21 +57,14 @@ Transceiver::pump()
         pm_panic("transceiver %s: symbols arrived before the output was "
                  "connected",
                  _p.name.c_str());
-    if (_in.empty())
+    if (_in.empty() ||
+        !_tx->ready(_queue.now(), [this](Tick t) { wake(t); }))
         return;
-    if (!_tx->canSend(_queue.now())) {
-        if (_tx->busyUntil() > _queue.now()) {
-            schedulePumpAt(_tx->busyUntil());
-        } else {
-            _tx->onReceiverSpace([this] { schedulePump(); });
-        }
-        return;
-    }
     const Symbol sym = _in.pop();
     _lastMove = _queue.now();
     const Tick wireFree = _tx->send(sym, _queue.now());
     if (!_in.empty())
-        schedulePumpAt(wireFree);
+        wake(wireFree);
 }
 
 bool

@@ -68,13 +68,13 @@ class Transceiver : public sim::health::Reporter
     sim::EventQueue &_queue;
     InputFifo _in;
     std::unique_ptr<LinkTx> _tx;
-    sim::EventHandle _pumpEvent; //!< Live while a pump is scheduled.
-    Tick _pumpAt = 0;
+    Pump _pump;
     Tick _lastMove = 0; //!< Last tick a symbol arrived or advanced.
 
     void pump();
-    void schedulePump();
-    void schedulePumpAt(Tick when);
+
+    /** Pump at `when` (see Pump). */
+    void wake(Tick when) { _pump.at(_queue, when, [this] { pump(); }); }
 };
 
 } // namespace pm::net

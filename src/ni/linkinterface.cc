@@ -38,7 +38,7 @@ LinkInterface::pushSend(const net::Symbol &sym, Tick now)
                  _p.name.c_str(), _sendFifo.size(), _p.fifoWords);
     _sendFifo.push_back(SendEntry{sym, now});
     _lastTx = _queue.now();
-    schedulePump();
+    wake(_queue.now());
 }
 
 unsigned
@@ -61,7 +61,7 @@ LinkInterface::popRecv(Tick)
     const std::uint64_t w = _recvFifo.front();
     _recvFifo.pop_front();
     ++_drained;
-    notifyRxSpace();
+    _rx.releaseWaiters();
     return w;
 }
 
@@ -101,10 +101,9 @@ LinkInterface::reset()
     _completed.clear();
     _drained = 0;
     _rxMsgWords = 0;
-    _queue.cancel(_pumpEvent);
-    _pumpAt = 0;
+    _pump.cancel(_queue);
     _lastTx = _queue.now();
-    _rxSpaceCbs.clear();
+    _rx.dropWaiters();
     if (_tx)
         _tx->reset();
 }
@@ -122,26 +121,6 @@ LinkInterface::connectOutput(net::SymbolSink *downstream)
 }
 
 void
-LinkInterface::schedulePump()
-{
-    schedulePumpAt(_queue.now());
-}
-
-void
-LinkInterface::schedulePumpAt(Tick when)
-{
-    // At most one pump event is ever outstanding; an earlier request
-    // supersedes a later one.
-    if (_queue.scheduled(_pumpEvent)) {
-        if (_pumpAt <= when)
-            return;
-        _queue.cancel(_pumpEvent);
-    }
-    _pumpAt = when;
-    _pumpEvent = _queue.schedule(when, [this] { pump(); });
-}
-
-void
 LinkInterface::pump()
 {
     if (!_tx)
@@ -149,16 +128,9 @@ LinkInterface::pump()
                  _p.name.c_str());
     const Tick now = _queue.now();
 
-    if (!_crcPendingClose && _sendFifo.empty())
+    if ((!_crcPendingClose && _sendFifo.empty()) ||
+        !_tx->ready(now, [this](Tick t) { wake(t); }))
         return;
-    if (!_tx->canSend(now)) {
-        if (_tx->busyUntil() > now) {
-            schedulePumpAt(_tx->busyUntil());
-        } else {
-            _tx->onReceiverSpace([this] { schedulePump(); });
-        }
-        return;
-    }
 
     if (_crcPendingClose) {
         // The CRC word has gone out; the close command follows.
@@ -166,14 +138,14 @@ LinkInterface::pump()
         _lastTx = now;
         const Tick wireFree = _tx->send(net::Symbol::makeClose(), now);
         if (!_sendFifo.empty())
-            schedulePumpAt(wireFree);
+            wake(wireFree);
         return;
     }
 
     const SendEntry &head = _sendFifo.front();
     if (head.readyAt > now) {
         // The CPU has not logically written this word yet.
-        schedulePumpAt(head.readyAt);
+        wake(head.readyAt);
         return;
     }
 
@@ -210,7 +182,7 @@ LinkInterface::pump()
     }
 
     if (_crcPendingClose || !_sendFifo.empty())
-        schedulePumpAt(wireFree);
+        wake(wireFree);
 }
 
 // ---- Receive port. ------------------------------------------------------
@@ -284,18 +256,12 @@ LinkInterface::RxPort::push(const net::Symbol &sym, Tick)
         pm_trace(ni._queue.now(), "ni", "%s: message %llu complete, crc %s",
                  ni._p.name.c_str(), (unsigned long long)ni._messages,
                  ok ? "ok" : "BAD");
-        ni.notifyRxSpace();
+        releaseWaiters();
         if (ni._recvActivity)
             ni._recvActivity();
         break;
       }
     }
-}
-
-void
-LinkInterface::RxPort::onSpace(sim::EventFn cb)
-{
-    _ni._rxSpaceCbs.push_back(std::move(cb));
 }
 
 // ---- Health. -----------------------------------------------------------
@@ -351,17 +317,6 @@ LinkInterface::dumpState(std::ostream &os) const
        << " received=" << wordsReceived.value()
        << " crcErrors=" << crcErrors.value() << "\n";
     _ring.dump(os);
-}
-
-void
-LinkInterface::notifyRxSpace()
-{
-    if (_rxSpaceCbs.empty())
-        return;
-    std::vector<sim::EventFn> cbs;
-    cbs.swap(_rxSpaceCbs);
-    for (auto &cb : cbs)
-        cb();
 }
 
 } // namespace pm::ni

@@ -19,7 +19,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "net/fifo.hh"
 #include "net/link.hh"
@@ -154,13 +153,8 @@ class LinkInterface : public sim::health::Reporter
     {
       public:
         explicit RxPort(LinkInterface &ni) : _ni(ni) {}
-        [[nodiscard]] bool hasSpace() const override
-        {
-            return freeSpace() > 0;
-        }
         [[nodiscard]] unsigned freeSpace() const override;
         void push(const net::Symbol &sym, Tick now) override;
-        void onSpace(sim::EventFn cb) override;
 
       private:
         LinkInterface &_ni;
@@ -180,8 +174,7 @@ class LinkInterface : public sim::health::Reporter
     // Send side.
     std::deque<SendEntry> _sendFifo;
     std::unique_ptr<net::LinkTx> _tx;
-    sim::EventHandle _pumpEvent; //!< Live while a pump is scheduled.
-    Tick _pumpAt = 0;
+    net::Pump _pump;
     bool _crcPendingClose = false; //!< CRC word sent; close follows.
     bool _txAnyData = false;
     Crc32 _crcTx;
@@ -198,12 +191,11 @@ class LinkInterface : public sim::health::Reporter
     std::uint64_t _drained = 0; //!< Popped words of the oldest message.
     std::uint64_t _rxMsgWords = 0; //!< Words of the in-progress message.
     sim::EventFn _recvActivity; //!< Driver wake-up (see onRecvActivity).
-    std::vector<sim::EventFn> _rxSpaceCbs;
 
-    void schedulePump();
-    void schedulePumpAt(Tick when);
     void pump();
-    void notifyRxSpace();
+
+    /** Pump the send side at `when` (see net::Pump). */
+    void wake(Tick when) { _pump.at(_queue, when, [this] { pump(); }); }
 };
 
 } // namespace pm::ni

@@ -2,8 +2,9 @@
  * @file
  * Tests for the EARTH-style runtime: fibers, sync slots, split-phase
  * remote memory, remote invocation, quiescence detection, a small
- * distributed computation end to end, and two-run determinism of a
- * cross-cluster workload and a cross-cluster peer death.
+ * distributed computation end to end, two-run determinism of a
+ * cross-cluster workload and a cross-cluster peer death, and three
+ * survivors reporting one death in the same run.
  */
 
 #include <gtest/gtest.h>
@@ -400,6 +401,72 @@ TEST(Earth, CrossClusterPeerDeathIsByteIdenticalAcrossRuns)
     EXPECT_NE(first.find("reports=0:3,"), std::string::npos) << first;
     EXPECT_NE(first.find("getsFailed=1"), std::string::npos) << first;
     EXPECT_NE(first.find("v40=333"), std::string::npos) << first;
+}
+
+/**
+ * Three survivors give up on the same dead node in one run: node 3
+ * neither sends nor receives a data word, and nodes 2, 0 and 1 each
+ * GET from it. Each death is applied inside the driver event that
+ * gives up, so the reports arrive in the order the transports fail.
+ */
+std::string
+threeDeathsOutcome()
+{
+    sim::FaultModel fault(5);
+    sim::FaultConfig dead;
+    dead.drop = 1.0;
+    fault.configure("ni.n3.net0.tx", dead);
+    fault.configure("xbar.c0.net0.out3", dead); // node 3's inbound port
+    msg::SystemParams sp = clusterParams(8);
+    sp.fabric.fault = &fault;
+    msg::System sys(sp);
+
+    EarthCosts costs;
+    costs.driver.retransBase = 2000; // fail fast: the test waits on it
+    costs.driver.maxRetries = 2;
+    Runtime rt(sys, costs);
+
+    std::ostringstream os;
+    os << "reports=";
+    rt.onPeerDeath([&](unsigned node, unsigned deadPeer) {
+        os << " " << node << ":" << deadPeer;
+    });
+
+    const unsigned getters[] = {2, 0, 1};
+    std::uint64_t fetched[] = {7, 7, 7};
+    unsigned fired = 0;
+    for (unsigned k = 0; k < 3; ++k) {
+        NodeRt &node = rt.node(getters[k]);
+        const SlotRef slot =
+            node.makeSlot(1, [&](NodeRt &) { ++fired; });
+        node.spawnLocal([&, k, slot](NodeRt &self) {
+            self.getRemote(3, 0x10, &fetched[k], slot);
+        });
+    }
+    const Tick t = rt.run();
+
+    os << "\nt=" << t << " fired=" << fired << " dead=";
+    for (unsigned d : rt.deadPeers())
+        os << d << ",";
+    os << "\n";
+    for (unsigned n = 0; n < rt.numNodes(); ++n)
+        os << "n" << n << " gets_failed=" << rt.node(n).getsFailed.value()
+           << " fibers=" << rt.node(n).fibersRun.value() << "\n";
+    for (unsigned k = 0; k < 3; ++k)
+        EXPECT_EQ(fetched[k], 7u) << "no value may be fabricated";
+    return os.str();
+}
+
+TEST(Earth, ThreeSurvivorsReportOneDeathInOrder)
+{
+    const std::string first = threeDeathsOutcome();
+    EXPECT_EQ(first, threeDeathsOutcome());
+    EXPECT_EQ(first.rfind("reports= 2:3 0:3 1:3\n", 0), 0u) << first;
+    EXPECT_NE(first.find("fired=0 dead=3,\n"), std::string::npos)
+        << first;
+    for (const char *line : {"n0 gets_failed=1 ", "n1 gets_failed=1 ",
+                             "n2 gets_failed=1 "})
+        EXPECT_NE(first.find(line), std::string::npos) << first;
 }
 
 } // namespace

@@ -1,16 +1,20 @@
 /**
  * @file
  * Unit tests for the link layer: symbols, input FIFOs with flow
- * control, and the LinkTx serializer (wire rate, latency, stop-signal
- * behaviour).
+ * control, the LinkTx serializer (wire rate, latency, stop-signal
+ * behaviour) and the one pump rule every forwarding element follows
+ * (Pump, LinkTx::ready).
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "net/fifo.hh"
 #include "net/link.hh"
 #include "net/symbol.hh"
 #include "sim/event.hh"
+#include "sim/fault.hh"
 
 namespace {
 
@@ -233,6 +237,107 @@ TEST(LinkTx, SustainedRateIsSixtyMBps)
         t = tx.send(Symbol::makeData(i), t);
     // 800 bytes at 60 MB/s = 13.33 us.
     EXPECT_NEAR(ticksToUs(t), 800.0 / 60.0, 0.05);
+}
+
+TEST(LinkTx, ReadyOnBusyWireWakesAtBusyUntil)
+{
+    sim::EventQueue q;
+    InputFifo sink("s", 8);
+    LinkTx tx("t", q, LinkParams{}, &sink);
+    const Tick wireFree = tx.send(Symbol::makeData(1), 0);
+
+    std::vector<Tick> wakes;
+    const auto wake = [&](Tick t) { wakes.push_back(t); };
+    EXPECT_FALSE(tx.ready(0, wake));
+    EXPECT_EQ(wakes, std::vector<Tick>{tx.busyUntil()});
+    EXPECT_EQ(tx.busyUntil(), wireFree);
+    EXPECT_EQ(sink.waiters(), 0u); // a busy wire is not the stop signal
+}
+
+TEST(LinkTx, ReadyWithFullReceiverWakesAtThePop)
+{
+    sim::EventQueue q;
+    InputFifo sink("s", 1);
+    LinkTx tx("t", q, LinkParams{}, &sink);
+    (void)tx.send(Symbol::makeData(1), 0);
+    q.run(); // delivered: the one-entry receiver is full
+
+    std::vector<Tick> wakes;
+    EXPECT_FALSE(tx.ready(q.now(), [&](Tick t) { wakes.push_back(t); }));
+    EXPECT_TRUE(wakes.empty()); // nothing to retry until the stop lifts
+    EXPECT_EQ(sink.waiters(), 1u);
+
+    const Tick popAt = q.now() + 5 * kTicksPerNs;
+    (void)q.schedule(popAt, [&] { (void)sink.pop(); });
+    q.run();
+    EXPECT_EQ(wakes, std::vector<Tick>{popAt});
+    EXPECT_TRUE(tx.canSend(popAt));
+}
+
+TEST(LinkTx, ReadyInLinkDownWindowWakesAtWindowEnd)
+{
+    sim::EventQueue q;
+    sim::FaultModel fault(1);
+    const Tick from = 100 * kTicksPerNs, to = 700 * kTicksPerNs;
+    fault.configure("t", sim::FaultConfig{0.0, 0.0, {{from, to}}});
+    LinkParams p;
+    p.fault = &fault;
+    InputFifo sink("s", 8);
+    LinkTx tx("t", q, p, &sink);
+    (void)q.schedule(from + 50 * kTicksPerNs, [] {});
+    q.run(); // now() sits inside the window
+
+    std::vector<Tick> wakes;
+    EXPECT_FALSE(tx.ready(q.now(), [&](Tick t) { wakes.push_back(t); }));
+    EXPECT_EQ(wakes, std::vector<Tick>{to});
+    EXPECT_TRUE(tx.ready(to, [&](Tick t) { wakes.push_back(t); }));
+    EXPECT_EQ(wakes.size(), 1u);
+}
+
+TEST(Pump, LaterOrEqualRequestLeavesThePendingPumpAlone)
+{
+    sim::EventQueue q;
+    Pump pump;
+    std::vector<int> ran;
+    pump.at(q, 100, [&] { ran.push_back(1); });
+    pump.at(q, 100, [&] { ran.push_back(2); });
+    pump.at(q, 250, [&] { ran.push_back(3); });
+    EXPECT_EQ(q.pending(), 1u);
+    EXPECT_EQ(q.cancelledTotal(), 0u);
+    q.run();
+    EXPECT_EQ(ran, std::vector<int>{1});
+    EXPECT_EQ(q.now(), 100u);
+}
+
+TEST(Pump, EarlierRequestCancelsThePendingPump)
+{
+    sim::EventQueue q;
+    Pump pump;
+    std::vector<int> ran;
+    pump.at(q, 250, [&] { ran.push_back(1); });
+    const auto cancelled = q.cancelledTotal();
+    pump.at(q, 100, [&] { ran.push_back(2); });
+    EXPECT_EQ(q.cancelledTotal(), cancelled + 1);
+    EXPECT_EQ(q.pending(), 1u);
+    q.run();
+    EXPECT_EQ(ran, std::vector<int>{2});
+    EXPECT_EQ(q.now(), 100u);
+}
+
+TEST(Pump, CancelDropsThePendingPumpAndALaterAtSchedulesAgain)
+{
+    sim::EventQueue q;
+    Pump pump;
+    std::vector<int> ran;
+    pump.at(q, 100, [&] { ran.push_back(1); });
+    pump.cancel(q);
+    EXPECT_EQ(q.pending(), 0u);
+    // Later than the cancelled pump, yet nothing covers it any more.
+    pump.at(q, 300, [&] { ran.push_back(2); });
+    EXPECT_EQ(q.pending(), 1u);
+    q.run();
+    EXPECT_EQ(ran, std::vector<int>{2});
+    EXPECT_EQ(q.now(), 300u);
 }
 
 } // namespace

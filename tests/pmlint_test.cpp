@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <initializer_list>
 #include <string>
 
 namespace {
@@ -120,6 +121,53 @@ TEST(PmLint, SourceTreeIsCleanAndExitsZero)
     const RunResult res = run(std::string(PMLINT_BIN) + " " +
                               PMLINT_SRC + " " + PMLINT_BENCH + " " +
                               PMLINT_TOOLS);
+    EXPECT_EQ(res.exitCode, 0) << res.output;
+    EXPECT_EQ(res.output, "");
+}
+
+/** The lines of `text` that start with any of `prefixes`, in order. */
+std::string
+linesStartingWith(const std::string &text,
+                  std::initializer_list<const char *> prefixes)
+{
+    std::string out;
+    std::size_t pos = 0;
+    while (pos < text.size()) {
+        std::size_t end = text.find('\n', pos);
+        end = end == std::string::npos ? text.size() : end + 1;
+        const std::string line = text.substr(pos, end - pos);
+        for (const char *prefix : prefixes)
+            if (line.rfind(prefix, 0) == 0)
+                out += line;
+        pos = end;
+    }
+    return out;
+}
+
+TEST(PmLint, FileRootsLintUnderTheirDirectoryPath)
+{
+    // A file root is linted as its top-level directory root would
+    // name it, so the path-scoped rules (layering, std-function,
+    // include-guard) fire exactly as in the directory run.
+    const RunResult res =
+        run("cd " + std::string(PMLINT_FIXTURES) + "/.. && " +
+            PMLINT_BIN +
+            " fixtures/net/layer_bad.cc fixtures/ni/function_bad.hh "
+            "fixtures/sim/guard_bad.hh");
+    const std::string expected =
+        linesStartingWith(slurp(PMLINT_EXPECTED),
+                          {"net/layer_bad.cc:", "ni/function_bad.hh:",
+                           "sim/guard_bad.hh:"}) +
+        "pmlint: 3 findings in 3 files\n";
+    EXPECT_EQ(res.exitCode, 1);
+    EXPECT_EQ(res.output, expected);
+}
+
+TEST(PmLint, SourceFileRootIsCleanLikeItsDirectory)
+{
+    const RunResult res = run("cd " + std::string(PMLINT_SRC) +
+                              "/.. && " + PMLINT_BIN +
+                              " src/sim/trace.hh");
     EXPECT_EQ(res.exitCode, 0) << res.output;
     EXPECT_EQ(res.output, "");
 }

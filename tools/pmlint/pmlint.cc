@@ -16,8 +16,9 @@
  *
  * Paths in diagnostics are relative to the root that contained them,
  * so path-scoped rules (hot-path dirs, include-guard macros, layers)
- * behave identically wherever the tree is checked out. Run it as
- * `pmlint src bench tools` from the repo root.
+ * behave identically wherever the tree is checked out. A file root
+ * counts as contained in its top-level directory (see fileRootPath).
+ * Run it as `pmlint src bench tools` from the repo root.
  */
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -67,13 +69,37 @@ lintableFile(const fs::path &p)
     return ext == ".hh" || ext == ".h" || ext == ".cc" || ext == ".cpp";
 }
 
+/**
+ * The path a file root is linted under: the one its top-level
+ * directory, given as a root, would give it. That is the path as
+ * written (made relative first when it is absolute and inside the
+ * working directory), normalized, without its first component:
+ * `src/sim/trace.hh` lints as `sim/trace.hh`, exactly as in a run on
+ * `src`, so path-scoped rules see the same directory either way.
+ */
+std::string
+fileRootPath(const fs::path &root)
+{
+    fs::path p = root.lexically_normal();
+    if (p.is_absolute()) {
+        std::error_code ec;
+        const fs::path rel = p.lexically_relative(fs::current_path(ec));
+        if (!ec && !rel.empty() && *rel.begin() != "..")
+            p = rel;
+    }
+    fs::path rest;
+    for (auto it = std::next(p.begin()); it != p.end(); ++it)
+        rest /= *it;
+    return (rest.empty() ? p : rest).generic_string();
+}
+
 /** Collect lintable files under `root` as (relPath, fullPath). */
 std::vector<std::pair<std::string, fs::path>>
 collect(const fs::path &root)
 {
     std::vector<std::pair<std::string, fs::path>> files;
     if (fs::is_regular_file(root)) {
-        files.emplace_back(root.filename().generic_string(), root);
+        files.emplace_back(fileRootPath(root), root);
         return files;
     }
     for (const auto &entry : fs::recursive_directory_iterator(root)) {
