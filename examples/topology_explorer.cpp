@@ -41,7 +41,8 @@ describeFabric(unsigned clusters, unsigned uplinks)
         for (unsigned d = 0; d < nodes; ++d) {
             if (s == d)
                 continue;
-            const unsigned h = fabric.crossbarsOnPath(s, d);
+            const auto h =
+                static_cast<unsigned>(fabric.route(s, d).size());
             pathSum += h;
             pathMax = std::max(pathMax, h);
             ++pairs;

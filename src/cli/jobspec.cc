@@ -429,7 +429,7 @@ runPoint(const JobSpec &spec)
 
     msg::System sys(sp);
     // Bind this machine's ambient context for the whole point: any
-    // panic below resolves this System's forensic dump hooks, never a
+    // panic below resolves this System's forensic dump, never a
     // bystander's.
     sim::Context::Scope scope(sys.context());
 

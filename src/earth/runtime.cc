@@ -330,7 +330,7 @@ Runtime::run()
 {
     // Bind the machine's context: a deadlock panic below (or any
     // pm_assert inside the fibers) must resolve this System's tick
-    // and dump hooks even with sibling simulations in the process.
+    // and machine dump even with sibling simulations in the process.
     sim::Context::Scope scope(_sys.context());
     const Tick start = _lastActivity;
 
@@ -344,25 +344,13 @@ Runtime::run()
     // stamp, not on the queue clock.
     const Tick end = _lastActivity;
 
-    if (_deadPeers.empty()) {
-        // Drain trailing ACK handshakes so the next run() — and any
-        // post-run stats read — starts from a fully quiescent machine.
-        // Impossible once a peer died: its wedged sends never quiesce,
-        // so the survivors' state is read at quiescence instead.
-        const auto quiet = [&] {
-            for (const auto &n : _nodes)
-                if (!n->_comm.quiescent())
-                    return false;
-            return _sys.fabric().wireQuiet();
-        };
-        // A peer can still die *during* the drain (a retransmit burst
-        // exhausting its budget): stop there rather than spin on a
-        // wire that will never go quiet.
-        while (_deadPeers.empty() && !quiet() && _sys.queue().step()) {
-        }
-        if (_deadPeers.empty() && quiet())
-            _sys.auditQuiescent("earth.run");
-    }
+    // Drain trailing ACK handshakes so the next run() — and any
+    // post-run stats read — starts from a quiet machine. Not once a
+    // peer died: its wedged sends never quiesce, so the survivors'
+    // state is read where the program ended (and a death during the
+    // drain stops it).
+    if (_deadPeers.empty())
+        _sys.drain("earth.run");
 
     return end > start ? end - start : 0;
 }

@@ -100,7 +100,7 @@ Drain::pump()
             }
             if (ni.recvAvailable() == 0)
                 break;
-            const std::uint64_t w = ni.popRecv(_queue.now());
+            const std::uint64_t w = ni.popRecv();
             if (!st.haveHeader) {
                 st.haveHeader = true;
                 st.expect = w;

@@ -1,5 +1,7 @@
 #include "fabric/topology.hh"
 
+#include <type_traits>
+
 #include "sim/logging.hh"
 
 namespace pm::fabric {
@@ -137,60 +139,58 @@ Fabric::route(unsigned src, unsigned dst, unsigned spread) const
             static_cast<std::uint8_t>(localIndex(dst))};
 }
 
-unsigned
-Fabric::crossbarsOnPath(unsigned src, unsigned dst) const
+namespace {
+
+/** `e` with the constness of `Self`, which unique_ptr's `*` drops. */
+template <typename Self, typename T>
+std::conditional_t<std::is_const_v<Self>, const T, T> &
+likeSelf(T &e)
 {
-    return clusterOf(src) == clusterOf(dst) ? 1 : 3;
+    return e;
+}
+
+} // namespace
+
+template <typename Self, typename Fn>
+bool
+Fabric::forEachElement(Self &self, Fn &&fn)
+{
+    const auto all = [&](const auto &elements) {
+        for (const auto &e : elements)
+            if (!fn(likeSelf<Self>(*e)))
+                return false;
+        return true;
+    };
+    for (const Network &net : self._nets)
+        if (!all(net.nis) || !all(net.clusterXbars) || !all(net.l2Xbars) ||
+            !all(net.xcvrs))
+            return false;
+    return true;
 }
 
 void
 Fabric::registerHealth(sim::health::Monitor &monitor)
 {
-    for (auto &net : _nets) {
-        for (auto &ni : net.nis)
-            monitor.add(ni.get());
-        for (auto &xbar : net.clusterXbars)
-            monitor.add(xbar.get());
-        for (auto &xbar : net.l2Xbars)
-            monitor.add(xbar.get());
-        for (auto &xcvr : net.xcvrs)
-            monitor.add(xcvr.get());
-    }
+    forEachElement(*this, [&](auto &e) {
+        monitor.add(&e);
+        return true;
+    });
 }
 
 bool
 Fabric::wireQuiet() const
 {
-    for (const auto &net : _nets) {
-        for (const auto &ni : net.nis)
-            if (!ni->wireQuiet())
-                return false;
-        for (const auto &xbar : net.clusterXbars)
-            if (!xbar->wireQuiet())
-                return false;
-        for (const auto &xbar : net.l2Xbars)
-            if (!xbar->wireQuiet())
-                return false;
-        for (const auto &xcvr : net.xcvrs)
-            if (!xcvr->wireQuiet())
-                return false;
-    }
-    return true;
+    return forEachElement(*this,
+                          [](const auto &e) { return e.wireQuiet(); });
 }
 
 void
 Fabric::reset()
 {
-    for (auto &net : _nets) {
-        for (auto &ni : net.nis)
-            ni->reset();
-        for (auto &xbar : net.clusterXbars)
-            xbar->reset();
-        for (auto &xbar : net.l2Xbars)
-            xbar->reset();
-        for (auto &xcvr : net.xcvrs)
-            xcvr->reset();
-    }
+    forEachElement(*this, [](auto &e) {
+        e.reset();
+        return true;
+    });
 }
 
 } // namespace pm::fabric

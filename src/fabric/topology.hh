@@ -80,15 +80,13 @@ class Fabric
     net::Crossbar &levelTwoXbar(unsigned u, unsigned net = 0);
 
     /**
-     * Route-command bytes for a connection src -> dst (one byte per
-     * crossbar crossed). `spread` selects among the equivalent
-     * second-level crossbars for inter-cluster routes.
+     * Route-command bytes for a connection src -> dst: one byte per
+     * crossbar crossed, so its size is the path length. `spread`
+     * selects among the equivalent second-level crossbars for
+     * inter-cluster routes.
      */
     std::vector<std::uint8_t> route(unsigned src, unsigned dst,
                                     unsigned spread = 0) const;
-
-    /** Number of crossbars a src -> dst connection crosses. */
-    unsigned crossbarsOnPath(unsigned src, unsigned dst) const;
 
     /**
      * Reset the whole fabric between experiment runs: link interfaces,
@@ -101,8 +99,7 @@ class Fabric
 
     /**
      * Register every fabric component with the health monitor, in
-     * deterministic order (per network: NIs, cluster crossbars,
-     * second-level crossbars, transceivers).
+     * forEachElement() order.
      */
     void registerHealth(sim::health::Monitor &monitor);
 
@@ -112,7 +109,7 @@ class Fabric
      * NI send sides drained. NI *receive* FIFOs may hold unconsumed
      * words — those were already delivered and counted. Endpoint
      * quiescence does not imply this: a duplicate retransmit can still
-     * be mid-fabric after both ends have gone idle.
+     * be mid-fabric after both ends have gone quiet.
      */
     [[nodiscard]] bool wireQuiet() const;
 
@@ -131,6 +128,15 @@ class Fabric
 
     void build();
     void buildNetwork(unsigned n);
+
+    /**
+     * Call `fn` on every element in one fixed order — per network: the
+     * NIs, the cluster crossbars, the second-level crossbars, then the
+     * transceivers — until a call returns false; true when none did.
+     * Elements come out as const as `self`.
+     */
+    template <typename Self, typename Fn>
+    static bool forEachElement(Self &self, Fn &&fn);
 };
 
 } // namespace pm::fabric

@@ -1,6 +1,7 @@
 #include "msg/collectives.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "sim/context.hh"
 #include "sim/logging.hh"
@@ -24,48 +25,6 @@ Communicator::rounds() const
     while ((1u << r) < size())
         ++r;
     return r;
-}
-
-void
-Communicator::runUntil(const std::function<bool()> &done)
-{
-    // Every collective drives the machine through here: bind the
-    // owning System's context so a stall's panic carries *its* tick
-    // and forensics, not a bystander simulation's.
-    sim::Context::Scope scope(_sys.context());
-    while (!done() && _sys.queue().step()) {
-    }
-    if (!done())
-        pm_panic("collective stalled: event queue drained before "
-                 "completion");
-}
-
-void
-Communicator::drain()
-{
-    sim::Context::Scope scope(_sys.context());
-    const auto quiet = [&] {
-        for (const auto &c : _comms)
-            if (!c->quiescent())
-                return false;
-        return _sys.fabric().wireQuiet();
-    };
-    // Run to full exhaustion, not first quiescence: the residual
-    // timers past the quiet point advance queue().now(), and the next
-    // op starts from there. A watchdog scan reschedules itself
-    // forever, so with one enabled the machine can never exhaust;
-    // stop at quiescence there.
-    if (_sys.health().watchdogEnabled()) {
-        while (!quiet() && _sys.queue().step()) {
-        }
-    } else {
-        while (_sys.queue().step()) {
-        }
-    }
-    if (!quiet())
-        pm_panic("collective drain stalled: endpoints or wires still "
-                 "busy on an empty machine");
-    _sys.auditQuiescent("collective");
 }
 
 namespace {
@@ -93,6 +52,41 @@ finishStamp(PmComm &comm)
     return std::max(comm.now(), comm.proc().time());
 }
 
+/**
+ * End a collective: step the machine until every rank has finished,
+ * take the latest finish stamp, then drain the trailing ACK
+ * handshakes and run the residual timers dry, so the next operation
+ * starts from a quiet, audited machine at the clock they leave.
+ * @return Duration from `start` to the latest finish.
+ */
+template <typename RankState>
+Tick
+finish(System &sys, const std::vector<RankState> &st, Tick start)
+{
+    // Bind the owning System's context so a stall's panic carries
+    // *its* tick and forensics, not a bystander simulation's.
+    sim::Context::Scope scope(sys.context());
+    const auto done = [&] {
+        for (const RankState &s : st)
+            if (!s.finished)
+                return false;
+        return true;
+    };
+    while (!done() && sys.queue().step()) {
+    }
+    if (!done())
+        pm_panic("collective stalled: event queue drained before "
+                 "completion");
+    Tick end = start;
+    for (const RankState &s : st)
+        end = std::max(end, s.finishTick);
+    if (!sys.drain("collective"))
+        pm_panic("collective drain stalled: an endpoint gave up on a "
+                 "peer");
+    sys.runDry();
+    return end - start;
+}
+
 } // namespace
 
 Tick
@@ -102,7 +96,7 @@ Communicator::barrier()
     const unsigned R = rounds();
     const Tick start = opStart(_sys, _comms);
 
-    // Rank r's progress; runUntil() scans the finished flags between
+    // Rank r's progress; finish() scans the finished flags between
     // events.
     struct RankState
     {
@@ -152,17 +146,7 @@ Communicator::barrier()
     for (unsigned r = 0; r < p; ++r)
         advance(r);
 
-    runUntil([&] {
-        for (const auto &s : st)
-            if (!s.finished)
-                return false;
-        return true;
-    });
-    Tick end = start;
-    for (const auto &s : st)
-        end = std::max(end, s.finishTick);
-    drain();
-    return end - start;
+    return finish(_sys, st, start);
 }
 
 Tick
@@ -232,17 +216,7 @@ Communicator::broadcast(unsigned root,
     st[root].have = true;
     sendPhase(0);
 
-    runUntil([&] {
-        for (const auto &s : st)
-            if (!s.finished)
-                return false;
-        return true;
-    });
-    Tick end = start;
-    for (const auto &s : st)
-        end = std::max(end, s.finishTick);
-    drain();
-    return end - start;
+    return finish(_sys, st, start);
 }
 
 Tick
@@ -343,18 +317,9 @@ Communicator::reduceSum(
     for (unsigned v = 0; v < p; ++v)
         advance(v);
 
-    runUntil([&] {
-        for (const auto &s : st)
-            if (!s.finished)
-                return false;
-        return true;
-    });
+    const Tick elapsed = finish(_sys, st, start);
     result = st[0].acc;
-    Tick end = start;
-    for (const auto &s : st)
-        end = std::max(end, s.finishTick);
-    drain();
-    return end - start;
+    return elapsed;
 }
 
 Tick

@@ -17,7 +17,6 @@
 #define PM_MSG_COLLECTIVES_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -85,19 +84,6 @@ class Communicator
 
     /** log2 rounds, rounded up. */
     unsigned rounds() const;
-
-    /**
-     * Step the machine's event queue until `done()` turns true;
-     * panics on stall. The predicate runs between events.
-     */
-    void runUntil(const std::function<bool()> &done);
-
-    /**
-     * Drain trailing ACK handshakes and wires after an operation and
-     * audit conservation, so the next operation starts from a fully
-     * quiescent machine.
-     */
-    void drain();
 };
 
 } // namespace pm::msg

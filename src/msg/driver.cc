@@ -85,8 +85,7 @@ PmComm::PmComm(System &sys, unsigned nodeId, unsigned cpu, unsigned net,
     _stats.add(&acksSent);
     _stats.add(&nacksSent);
     _stats.add(&deliveryFailures);
-    sys.addResettable(this);
-    sys.health().add(this);
+    sys.attach(this);
     // Wake the engine when receive work appears while it is dormant
     // (no posted receives, nothing unacked): a late retransmit or
     // delayed ACK must still be drained, or the incoming link wedges.
@@ -99,8 +98,7 @@ PmComm::PmComm(System &sys, unsigned nodeId, unsigned cpu, unsigned net,
 PmComm::~PmComm()
 {
     _ni.onRecvActivity(sim::EventFn());
-    _sys.health().remove(this);
-    _sys.removeResettable(this);
+    _sys.detach(this);
     // Harmlessly return false for events that already ran.
     _queue.cancel(_engineEvent);
     for (auto &[dst, peer] : _tx)
@@ -124,13 +122,6 @@ PmComm::resetForRun()
     _cur = {};
     _stash.clear();
     _lastProgress = _queue.now();
-}
-
-bool
-PmComm::idle() const
-{
-    return _sends.empty() && _recvs.empty() && _stash.empty() &&
-           !_cur.haveHeader && !anyUnacked();
 }
 
 bool
@@ -300,7 +291,7 @@ PmComm::serviceRecv()
         if (_cur.haveHeader && _cur.inOrderData && _recvs.empty())
             break;
         _proc.pioBeat(); // uncached FIFO read
-        const std::uint64_t w = _ni.popRecv(_proc.time());
+        const std::uint64_t w = _ni.popRecv();
         ++burst;
         progress = true;
         if (!_cur.haveHeader) {

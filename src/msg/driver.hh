@@ -118,7 +118,7 @@ using DeliveryFailureFn = std::function<void(
     unsigned dstNode, std::uint64_t seq, unsigned abandoned)>;
 
 /** One node's user-level communication endpoint. */
-class PmComm : public Resettable, public sim::health::Reporter
+class PmComm : public sim::health::Reporter
 {
   public:
     /**
@@ -190,22 +190,18 @@ class PmComm : public Resettable, public sim::health::Reporter
     /**
      * Abandon all in-flight operations and protocol state (sequence
      * numbers, unACKed retentions, pending timers). Called by
-     * System::resetForRun() on every live endpoint so a machine can be
-     * reused across experiment phases; counters are cumulative and
+     * System::resetForRun() on every attached endpoint so a machine can
+     * be reused across experiment phases; counters are cumulative and
      * survive. Never call mid-conversation with a peer that keeps
      * running — both ends restart from sequence 0 at a reset.
      */
-    void resetForRun() override;
-
-    /** No queued operations or unacknowledged messages remain. */
-    [[nodiscard]] bool idle() const;
+    void resetForRun();
 
     /**
      * The wire side is quiet: nothing queued to send, no message
-     * partially received, nothing awaiting acknowledgement. Unlike
-     * idle(), a posted receive may still be pending — this is the
-     * condition for ending an experiment whose receiver re-arms
-     * perpetually.
+     * partially received, nothing awaiting acknowledgement. A posted
+     * receive may still be pending — this is the condition for ending
+     * an experiment whose receiver re-arms perpetually.
      */
     [[nodiscard]] bool quiescent() const;
 

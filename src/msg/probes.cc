@@ -19,32 +19,6 @@ makePayload(std::uint64_t bytes, std::uint64_t seed)
     return payload;
 }
 
-namespace {
-
-/**
- * Run the reliability protocol to quiescence after the measured
- * interval: the last messages' ACK handshakes are still in flight when
- * the receive count hits, and leaving them on the wire would pollute a
- * later run on the same machine. Quiescence, not idleness: an echo
- * server's perpetually re-armed receive keeps its driver polling (and
- * the event queue non-empty) forever. Endpoint quiescence alone is
- * also not enough — a duplicate retransmit can still be mid-fabric
- * after both ends went idle (the original's ACK overtook it), so the
- * drain additionally waits for the wires to empty, then runs the
- * quiescent-machine conservation audit.
- */
-void
-drainToIdle(System &sys, PmComm &x, PmComm &y)
-{
-    while ((!x.quiescent() || !y.quiescent() ||
-            !sys.fabric().wireQuiet()) &&
-           sys.queue().step()) {
-    }
-    sys.auditQuiescent("probe drain");
-}
-
-} // namespace
-
 double
 measureOneWayLatencyUs(System &sys, unsigned a, unsigned b,
                        std::uint64_t bytes, unsigned iters)
@@ -96,7 +70,7 @@ measureOneWayLatencyUs(System &sys, unsigned a, unsigned b,
                  remaining);
 
     const Tick total = finished - started;
-    drainToIdle(sys, commA, commB);
+    sys.drain("probe drain");
     return ticksToUs(total) / (2.0 * iters);
 }
 
@@ -134,7 +108,7 @@ streamOneWay(System &sys, unsigned a, unsigned b, std::uint64_t bytes,
         pm_panic("one-way stream lost or corrupted messages (%u/%u)",
                  received, count);
     const Tick total = finished - started;
-    drainToIdle(sys, commA, commB);
+    sys.drain("probe drain");
     return total;
 }
 
@@ -203,7 +177,7 @@ measureBidirectionalMBps(System &sys, unsigned a, unsigned b,
     const Tick finished =
         finishedA > finishedB ? finishedA : finishedB;
     const double us = ticksToUs(finished - started);
-    drainToIdle(sys, commA, commB);
+    sys.drain("probe drain");
     return us > 0.0 ? (2.0 * double(bytes) * count) / us : 0.0;
 }
 
@@ -271,28 +245,12 @@ runDeliverySoak(System &sys, unsigned a, unsigned b,
     while (res.delivered < count && !res.senderDead &&
            !res.receiverDead && sys.queue().step()) {
     }
-    if (!res.senderDead && !res.receiverDead) {
-        // Let in-flight ACKs and timers drain so both endpoints go
-        // idle, the wires empty, and the counters are final. With a
-        // dead peer this would spin forever: a started send to the
-        // dead destination stays wedged in the queue by design, so
-        // idle() can never become true — skip the drain (and the
-        // quiet-machine audit) and report what happened instead.
-        while ((!commA.idle() || !commB.idle() ||
-                !sys.fabric().wireQuiet()) &&
-               sys.queue().step()) {
-        }
-        if (!sys.health().watchdogEnabled()) {
-            // Finish the already-scheduled stragglers too (delayed
-            // ACK timers past the idle point): the elapsed stamp
-            // below runs to the last of them. A watchdog scan
-            // reschedules itself forever, so with one enabled the
-            // machine can never exhaust; stop at idle there.
-            while (sys.queue().step()) {
-            }
-        }
-        sys.auditQuiescent("soak drain");
-    }
+    // Let in-flight ACKs and timers drain so the counters are final,
+    // then run the stragglers: the elapsed stamp below runs to the
+    // last of them. With a dead peer the machine never goes quiet, so
+    // skip both and report what happened instead.
+    if (!res.senderDead && !res.receiverDead && sys.drain("soak drain"))
+        sys.runDry();
     res.elapsedUs = ticksToUs(sys.queue().now() - started);
     if (res.delivered != count)
         res.intact = false;

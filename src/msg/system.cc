@@ -1,5 +1,6 @@
 #include "msg/system.hh"
 
+#include "msg/driver.hh"
 #include "sim/fault.hh"
 #include "sim/logging.hh"
 
@@ -7,7 +8,7 @@ namespace pm::msg {
 
 System::System(const SystemParams &params)
     : _p(params),
-      _health(_queue, _ctx)
+      _health(_queue)
 {
     // Quiet machines build quiet: the inform() gate carries over from
     // whatever context the constructing code runs under (a bench that
@@ -33,13 +34,66 @@ System::resetForRun()
         for (unsigned c = 0; c < n->numCpus(); ++c)
             n->proc(c).advanceTo(_queue.now());
     }
-    for (Resettable *r : _resettables)
-        r->resetForRun();
+    for (PmComm *endpoint : _endpoints)
+        endpoint->resetForRun();
     // The reset voided any in-flight symbols, so the old baselines no
     // longer balance; re-snapshot before auditing the empty machine.
     snapshotAuditBaselines();
     _health.runAudit(sim::health::Auditor::Point::PostReset,
                      "resetForRun");
+}
+
+void
+System::attach(PmComm *endpoint)
+{
+    _endpoints.push_back(endpoint);
+    _health.add(endpoint);
+}
+
+void
+System::detach(PmComm *endpoint)
+{
+    _health.remove(endpoint);
+    std::erase(_endpoints, endpoint);
+}
+
+bool
+System::quiet() const
+{
+    for (const PmComm *endpoint : _endpoints)
+        if (!endpoint->quiescent())
+            return false;
+    return _fabric->wireQuiet();
+}
+
+bool
+System::drain(const char *where)
+{
+    sim::Context::Scope scope(_ctx);
+    // deadPeers() allocates only once a peer is dead, and then the
+    // drain stops: no allocation per step.
+    const auto gaveUp = [&] {
+        for (const PmComm *endpoint : _endpoints)
+            if (!endpoint->deadPeers().empty())
+                return true;
+        return false;
+    };
+    while (!gaveUp() && !quiet() && _queue.step()) {
+    }
+    if (gaveUp())
+        return false;
+    auditQuiescent(where);
+    return true;
+}
+
+void
+System::runDry()
+{
+    if (_health.watchdogEnabled())
+        return;
+    sim::Context::Scope scope(_ctx);
+    while (_queue.step()) {
+    }
 }
 
 void

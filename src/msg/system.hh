@@ -26,19 +26,7 @@ struct SystemParams
     fabric::FabricParams fabric; //!< Interconnect topology.
 };
 
-/**
- * Per-run protocol state that System::resetForRun() must quiesce.
- * Endpoints (PmComm) register themselves so that resetting the machine
- * between experiment phases also resets endpoints a caller still holds
- * — a stale driver with unacknowledged traffic keeps polling the link
- * interface and would steal words from the next phase's messages.
- */
-class Resettable
-{
-  public:
-    virtual ~Resettable() = default;
-    virtual void resetForRun() = 0;
-};
+class PmComm;
 
 /** Nodes + fabric + event queue. */
 class System
@@ -65,14 +53,15 @@ class System
     /**
      * The machine's health monitor: watchdog, auditors, forensic
      * dumps. Every fabric component is registered at construction;
-     * endpoints (PmComm, EARTH runtimes) register themselves.
+     * endpoints through attach(), EARTH runtimes themselves.
      */
     sim::health::Monitor &health() { return _health; }
 
     /**
-     * This machine's ambient simulation state — panic tick/dump hooks
-     * and the inform() gate — fully isolated from every other System
-     * in the process. Simulation entry points (probes, collectives,
+     * This machine's ambient simulation state — its health monitor,
+     * which stamps and dumps a panic, and the inform() gate — fully
+     * isolated from every other System in the process. drain(),
+     * runDry() and the simulation entry points (probes, collectives,
      * earth::Runtime::run) bind it with sim::Context::Scope so a
      * mid-run panic resolves this machine's forensics; anything else
      * that steps queue() directly and wants panics attributed should
@@ -85,32 +74,67 @@ class System
      * words sent by all NIs since the last audit must equal words
      * received plus words dropped by fault injection, and every
      * registered reporter's quiet-machine invariants must hold.
-     * Callers must drain to Fabric::wireQuiet() first.
+     * drain() runs it once the machine is quiet().
      */
     void auditQuiescent(const char *where);
 
     /**
-     * Reset node caches/timing, link interfaces, and any registered
-     * endpoints between experiment runs, and bring every processor's
+     * Reset node caches/timing, link interfaces, and every attached
+     * endpoint between experiment runs, and bring every processor's
      * local clock up to the event queue's current time (queue time is
      * monotonic).
      */
     void resetForRun();
 
-    void addResettable(Resettable *r) { _resettables.push_back(r); }
-    void removeResettable(Resettable *r)
-    {
-        std::erase(_resettables, r);
-    }
+    /**
+     * Attach a live endpoint: resetForRun() resets it, quiet() waits
+     * for it, and the health monitor scans, audits and dumps it.
+     * Resetting matters because a stale driver with unacknowledged
+     * traffic keeps polling its link interface and would steal words
+     * from the next phase's messages. PmComm attaches itself for its
+     * lifetime.
+     */
+    void attach(PmComm *endpoint);
+    void detach(PmComm *endpoint);
+
+    /**
+     * The machine is quiet: every attached endpoint is quiescent
+     * (PmComm::quiescent()) and the fabric is wireQuiet(). Quiescence,
+     * not idleness: an echo server's perpetually re-armed receive keeps
+     * its driver polling, and the event queue non-empty, forever. And
+     * quiet endpoints alone are not enough: a duplicate retransmit can
+     * still be mid-fabric after both ends went quiet (the original's
+     * ACK overtook it).
+     */
+    [[nodiscard]] bool quiet() const;
+
+    /**
+     * End a run on a quiet, audited machine: step the queue until
+     * quiet(), then auditQuiescent(where). The last messages' ACK
+     * handshakes are still in flight when a run's own condition is
+     * met, and left on the wire they would pollute a later run on the
+     * same machine. Returns false, without the audit, once an attached
+     * endpoint has given up on a peer: its wedged send never quiesces.
+     */
+    bool drain(const char *where);
+
+    /**
+     * Run the events still scheduled past the quiet point (delayed ACK
+     * timers), so the queue clock reaches the last of them — unless a
+     * watchdog is armed: its scan reschedules itself forever, so the
+     * queue never runs dry and the machine stays where drain() left
+     * it.
+     */
+    void runDry();
 
   private:
     SystemParams _p;
-    sim::Context _ctx;
     sim::EventQueue _queue;
     sim::health::Monitor _health;
+    sim::Context _ctx{&_health};
     std::unique_ptr<fabric::Fabric> _fabric;
     std::vector<std::unique_ptr<node::Node>> _nodes;
-    std::vector<Resettable *> _resettables;
+    std::vector<PmComm *> _endpoints;
 
     /**
      * Conservation baselines: word counters at the last audit (or

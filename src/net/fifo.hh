@@ -40,7 +40,7 @@ class SymbolSink
     [[nodiscard]] bool hasSpace() const { return freeSpace() > 0; }
 
     /** Deliver a symbol; only legal when hasSpace(). */
-    virtual void push(const Symbol &sym, Tick now) = 0;
+    virtual void push(const Symbol &sym) = 0;
 
     /**
      * Register a one-shot callback invoked the next time space becomes
@@ -111,13 +111,12 @@ class InputFifo : public SymbolSink
     }
 
     void
-    push(const Symbol &sym, Tick now) override
+    push(const Symbol &sym) override
     {
         if (!hasSpace())
             pm_panic("fifo %s: push into full FIFO (flow-control bug)",
                      _name.c_str());
         _q.push_back(sym);
-        (void)now;
         maxOccupancy.set(std::max(maxOccupancy.value(),
                                   static_cast<double>(_q.size())));
         if (_fillCb)

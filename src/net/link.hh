@@ -144,7 +144,7 @@ class LinkTx
             if (gen != _gen)
                 return; // the link was reset while this was in flight
             --_inflight;
-            _sink->push(out, _queue.now());
+            _sink->push(out);
         });
         return _busyUntil;
     }

@@ -50,7 +50,7 @@ LinkInterface::recvAvailable() const
 }
 
 std::uint64_t
-LinkInterface::popRecv(Tick)
+LinkInterface::popRecv()
 {
     if (recvAvailable() == 0)
         pm_panic("link interface %s: software read past the receive "
@@ -198,7 +198,7 @@ LinkInterface::RxPort::freeSpace() const
 }
 
 void
-LinkInterface::RxPort::push(const net::Symbol &sym, Tick)
+LinkInterface::RxPort::push(const net::Symbol &sym)
 {
     LinkInterface &ni = _ni;
     switch (sym.kind) {

@@ -76,7 +76,7 @@ class LinkInterface : public sim::health::Reporter
     [[nodiscard]] unsigned recvAvailable() const;
 
     /** Read one received word; recvAvailable() must be nonzero. */
-    [[nodiscard]] std::uint64_t popRecv(Tick now);
+    [[nodiscard]] std::uint64_t popRecv();
 
     /** Completed (close-terminated) messages seen so far. */
     [[nodiscard]] std::uint64_t messagesReceived() const
@@ -154,7 +154,7 @@ class LinkInterface : public sim::health::Reporter
       public:
         explicit RxPort(LinkInterface &ni) : _ni(ni) {}
         [[nodiscard]] unsigned freeSpace() const override;
-        void push(const net::Symbol &sym, Tick now) override;
+        void push(const net::Symbol &sym) override;
 
       private:
         LinkInterface &_ni;

@@ -44,17 +44,6 @@ class ClockDomain
     /** Duration of `n` cycles in ticks. */
     Tick cycles(Cycles n) const { return n * _period; }
 
-    /** Number of whole cycles elapsed at tick `t` (t / period). */
-    Cycles ticksToCycles(Tick t) const { return t / _period; }
-
-    /** The first clock edge at or after tick `t`. */
-    Tick
-    nextEdge(Tick t) const
-    {
-        const Tick rem = t % _period;
-        return rem == 0 ? t : t + (_period - rem);
-    }
-
   private:
     double _mhz;
     Tick _period;

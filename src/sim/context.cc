@@ -24,7 +24,11 @@ thread_local unsigned tlsTrapDepth = 0;
 
 } // namespace
 
-Context::Context() : _owner(std::this_thread::get_id()) {}
+Context::Context(health::Monitor *monitor)
+    : _monitor(monitor),
+      _owner(std::this_thread::get_id())
+{
+}
 
 Context::~Context() = default;
 
@@ -42,66 +46,6 @@ Context::assertOwner(const char *what) const
         // pmlint: abort-ok(cross-thread misuse; no context to dump from)
         std::abort();
     }
-}
-
-void
-Context::pushPanicHook(PanicTickFn tick, PanicDumpFn dump, void *ctx)
-{
-    assertOwner("pushPanicHook");
-    _hooks.push_back(Hook{tick, dump, ctx});
-}
-
-void
-Context::popPanicHook(void *ctx)
-{
-    assertOwner("popPanicHook");
-    for (auto it = _hooks.rbegin(); it != _hooks.rend(); ++it) {
-        if (it->ctx == ctx) {
-            _hooks.erase(std::next(it).base());
-            return;
-        }
-    }
-}
-
-Tick
-Context::currentTick(Tick fallback) const
-{
-    for (auto it = _hooks.rbegin(); it != _hooks.rend(); ++it)
-        if (it->tick)
-            return it->tick(it->ctx);
-    return fallback;
-}
-
-bool
-Context::tickKnown() const
-{
-    for (const Hook &h : _hooks)
-        if (h.tick)
-            return true;
-    return false;
-}
-
-void
-Context::runDumpHooks(std::ostream &os)
-{
-    if (_dumping)
-        return;
-    _dumping = true;
-    // Snapshot: a hook that panics under a PanicTrap unwinds through
-    // this loop; the flag must reset so the context stays usable for
-    // the thread's next (independent) simulation point.
-    for (auto it = _hooks.rbegin(); it != _hooks.rend(); ++it) {
-        if (!it->dump)
-            continue;
-        try {
-            it->dump(it->ctx, os);
-        } catch (...) {
-            // The machine state a dump hook walks is, by definition,
-            // suspect; a hook that dies must not mask the original
-            // panic nor stop later hooks.
-        }
-    }
-    _dumping = false;
 }
 
 void
@@ -127,8 +71,8 @@ Context::Scope::Scope(Context &ctx) : _prev(tlsCurrent)
     // thread's current() pointer, mutating nothing inside the context,
     // so any thread driving a System (a sweep worker, say) can bind
     // its context and have a panic resolve that System's tick and
-    // forensic hooks. All context *mutations* (hooks, inform gate)
-    // stay owner-asserted.
+    // machine dump. All context *mutations* (the inform gate) stay
+    // owner-asserted.
     tlsCurrent = &ctx;
 }
 

@@ -3,8 +3,8 @@
  * Per-simulation ambient state: the sim::Context.
  *
  * Everything pm_panic()/pm_assert() needs beyond its format string —
- * the tick supplier that prefixes the message, the forensic dump hooks
- * that snapshot the machine, the inform() gate — used to live in
+ * the tick that prefixes the message, the forensic dump that
+ * snapshots the machine, the inform() gate — used to live in
  * process-global mutable state inside sim/logging.cc. That made a
  * simulation a property of the *process*: two Systems in one process
  * shared (and corrupted) each other's panic forensics, and running
@@ -16,11 +16,11 @@
  *  - Each thread has a private default Context (the only thread-local
  *    state in the simulator; see context.cc), so unrelated threads are
  *    isolated without any setup.
- *  - Each msg::System owns its own Context and registers its health
- *    monitor there; simulation entry points (the msg probes, the
- *    collectives, earth::Runtime::run) bind it with Context::Scope so
- *    a panic mid-run resolves the *owning* System's tick and dump
- *    hooks, never a bystander's.
+ *  - Each msg::System owns its own Context, which holds that System's
+ *    health monitor; simulation entry points (System::drain, the msg
+ *    probes, the collectives, earth::Runtime::run) bind it with
+ *    Context::Scope so a panic mid-run resolves the *owning* System's
+ *    tick and machine dump, never a bystander's.
  *  - A Context is single-writer: it asserts that every mutation comes
  *    from the thread that created it. The sweep harness (sim/sweep.hh)
  *    relies on this to run N Systems on N threads with zero sharing.
@@ -34,30 +34,20 @@
 #ifndef PM_SIM_CONTEXT_HH
 #define PM_SIM_CONTEXT_HH
 
-#include <iosfwd>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <vector>
-
-#include "sim/types.hh"
 
 namespace pm::sim {
 
-/** Supplies the current simulated tick for panic-message prefixes. */
-using PanicTickFn = Tick (*)(void *ctx);
-
-/**
- * Emits a structured machine snapshot into `os` on panic. Hooks that
- * persist state elsewhere (e.g. the health monitor's --dump-file) do
- * so themselves; `os` is what reaches stderr or a PanicError.
- */
-using PanicDumpFn = void (*)(void *ctx, std::ostream &os);
+namespace health {
+class Monitor;
+}
 
 /**
  * What a trapped panic throws instead of aborting: the one-line panic
  * message (location, tick, formatted text) plus the full forensic
- * dump the registered hooks produced.
+ * dump the context's health monitor produced.
  */
 class PanicError : public std::runtime_error
 {
@@ -65,7 +55,7 @@ class PanicError : public std::runtime_error
     PanicError(std::string message, std::string dump)
         : std::runtime_error(message), _dump(std::move(dump)) {}
 
-    /** The forensic dump text ("" when no hooks were registered). */
+    /** The forensic dump text ("" when the context has no monitor). */
     const std::string &dump() const { return _dump; }
 
   private:
@@ -76,37 +66,27 @@ class PanicError : public std::runtime_error
 class Context
 {
   public:
-    Context();
+    /**
+     * @param monitor The owning System's health monitor, which stamps
+     *        a panic with its tick and writes the machine dump; null
+     *        (a thread's default context) for neither.
+     */
+    explicit Context(health::Monitor *monitor = nullptr);
+
+    /**
+     * Out of line, so not trivial: a thread's default Context then
+     * registers its destructor when the thread first uses it, and that
+     * registration's small allocation opens the thread's malloc arena.
+     * Without it the sweep worker's arena lays out differently and
+     * trims differently: a two-pass perfbench `node_kernels` run takes
+     * six times the page faults (ROADMAP item 1, heap trimming).
+     */
     ~Context();
 
     Context(const Context &) = delete;
     Context &operator=(const Context &) = delete;
 
-    /**
-     * Register a panic context: `tick` supplies the tick printed in
-     * panic prefixes (the newest registration wins), `dump` runs on
-     * panic (newest first). Single-writer: owner thread only.
-     */
-    void pushPanicHook(PanicTickFn tick, PanicDumpFn dump, void *ctx);
-
-    /** Unregister the newest hook registered with `ctx`. */
-    void popPanicHook(void *ctx);
-
-    /** Number of registered hooks (tests). */
-    std::size_t panicHooks() const { return _hooks.size(); }
-
-    /** The newest registered tick, or `fallback` when none. */
-    Tick currentTick(Tick fallback) const;
-
-    /** True when a tick supplier is registered. */
-    bool tickKnown() const;
-
-    /**
-     * Run every dump hook, newest first, into `os`. Re-entrant calls
-     * (a dump hook that itself panics while walking suspect state) are
-     * swallowed: the inner panic must not re-run the hooks.
-     */
-    void runDumpHooks(std::ostream &os);
+    health::Monitor *monitor() const { return _monitor; }
 
     /** inform() gate; a fresh System inherits its creator's setting. */
     bool informEnabled() const { return _inform; }
@@ -139,19 +119,11 @@ class Context
     };
 
   private:
-    struct Hook
-    {
-        PanicTickFn tick;
-        PanicDumpFn dump;
-        void *ctx;
-    };
-
     /** Panic on mutation from any thread but the creating one. */
     void assertOwner(const char *what) const;
 
-    std::vector<Hook> _hooks;
+    health::Monitor *_monitor;
     bool _inform = true;
-    bool _dumping = false; //!< Recursive-panic guard (per context).
     std::thread::id _owner; //!< Creating thread; sole legal writer.
 };
 

@@ -67,20 +67,16 @@ EventRing::dump(std::ostream &os, const char *indent) const
     }
 }
 
-Monitor::Monitor(EventQueue &queue, Context &context)
-    : _queue(queue), _context(context)
+Monitor::Monitor(EventQueue &queue) : _queue(queue)
 {
     _stats.add(&_scans);
     _stats.add(&_auditsRun);
     _stats.add(&_auditChecks);
-    _context.pushPanicHook(&Monitor::tickThunk, &Monitor::dumpThunk,
-                           this);
 }
 
 Monitor::~Monitor()
 {
     disableWatchdog();
-    _context.popPanicHook(this);
 }
 
 void
@@ -131,7 +127,7 @@ Monitor::scan()
     ++_scans;
     if (check.findings()) {
         // The trip message itself names every stalled component: the
-        // one-line diagnosis survives even if the dump hooks cannot
+        // one-line diagnosis survives even if the panic dump cannot
         // walk the (by definition suspect) machine state.
         pm_panic("health watchdog tripped: %u stalled component(s): %s",
                  check.findings(), check.text().c_str());
@@ -178,27 +174,28 @@ Monitor::dump(std::ostream &os) const
     os << "=== end health dump ===\n";
 }
 
-Tick
-Monitor::tickThunk(void *ctx)
-{
-    return static_cast<Monitor *>(ctx)->_queue.now();
-}
-
 void
-Monitor::dumpThunk(void *ctx, std::ostream &os)
+Monitor::panicDump(std::ostream &os)
 {
-    const Monitor &mon = *static_cast<Monitor *>(ctx);
-    std::ostringstream ss;
-    mon.dump(ss);
-    const std::string text = ss.str();
-    os << text;
-    // The --dump-file copy persists even when the panic is trapped
-    // (sweep harness): the artifact survives the process either way.
-    if (!mon._dumpFile.empty()) {
-        std::ofstream out(mon._dumpFile, std::ios::app);
-        if (out)
-            out << text;
+    if (_dumping)
+        return;
+    _dumping = true;
+    try {
+        std::ostringstream ss;
+        dump(ss);
+        const std::string text = ss.str();
+        os << text;
+        if (!_dumpFile.empty()) {
+            std::ofstream out(_dumpFile, std::ios::app);
+            if (out)
+                out << text;
+        }
+    } catch (...) {
+        // A reporter that dies walking the (by definition suspect)
+        // machine state must not mask the original panic; the flag
+        // still resets so the next independent point can dump.
     }
+    _dumping = false;
 }
 
 } // namespace pm::sim::health

@@ -18,7 +18,7 @@
  *    hot-path cost.
  *
  *  - *Conservation auditors* (Monitor::runAudit) that run at phase
- *    boundaries (System::resetForRun, probe quiescence drains) and
+ *    boundaries (System::resetForRun, System::drain) and
  *    check invariants that should hold whenever the machine is quiet:
  *    word/symbol conservation across link→crossbar→NI, flow-control
  *    consistency (no routed circuits, no waiting inputs), and
@@ -26,8 +26,8 @@
  *
  *  - *Forensic crash dumps*: every Reporter carries a dumpState() hook
  *    and components keep a bounded EventRing of recent activity; the
- *    Monitor registers itself as a panic context (sim/logging.hh), so
- *    every pm_panic / pm_assert failure and every watchdog trip emits
+ *    owning System's sim::Context holds the Monitor, so every
+ *    pm_panic / pm_assert failure and every watchdog trip emits
  *    a structured machine snapshot (tick, FIFO occupancies, route
  *    tables, seq/ack windows, pending-event census) to stderr and an
  *    optional dump file before aborting.
@@ -45,7 +45,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/context.hh"
 #include "sim/event.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -61,7 +60,7 @@ class Monitor;
  * deadline via expired() and report()s every component that has been
  * stuck too long. Findings accumulate on one line (the watchdog trip
  * panic message must name the stalled components itself — the
- * multi-line machine state follows via the dump hooks).
+ * multi-line machine state follows in the panic dump).
  */
 class Check
 {
@@ -102,16 +101,16 @@ class Check
  *
  * The audit point tells the reporter how quiet the machine claims to
  * be: PostReset runs right after System::resetForRun() (everything
- * torn down, nothing in flight), Quiescent runs after a probe drains
- * to wire-quiescence (endpoints idle, wires empty — but e.g. receive
- * FIFOs may still hold unconsumed payload).
+ * torn down, nothing in flight), Quiescent runs once System::drain
+ * reaches a quiet machine (endpoints quiescent, wires empty — but
+ * e.g. receive FIFOs may still hold unconsumed payload).
  */
 class Auditor
 {
   public:
     enum class Point {
         PostReset, //!< After System::resetForRun(): machine empty.
-        Quiescent, //!< After a drain: endpoints idle, wires empty.
+        Quiescent, //!< After a drain: endpoints quiescent, wires empty.
     };
 
     explicit Auditor(Point point) : _point(point) {}
@@ -215,19 +214,18 @@ class EventRing
 };
 
 /**
- * The health monitor: owns the watchdog event, the reporter registry,
- * and the panic-hook registration that turns every panic into a
- * forensic dump.
+ * The health monitor: owns the watchdog event and the reporter
+ * registry, and writes the forensic dump that follows every panic.
  *
- * One Monitor per System, registered with that System's sim::Context —
- * never with process-global state — so concurrent Systems cannot see
- * each other's forensics. Reporters register in construction order
+ * One Monitor per System, held by that System's sim::Context — never
+ * by process-global state — so concurrent Systems cannot see each
+ * other's forensics. Reporters register in construction order
  * (deterministic) and must deregister before destruction.
  */
 class Monitor
 {
   public:
-    Monitor(EventQueue &queue, Context &context);
+    explicit Monitor(EventQueue &queue);
     ~Monitor();
 
     Monitor(const Monitor &) = delete;
@@ -266,6 +264,18 @@ class Monitor
     /** Write the full machine snapshot: census + every reporter. */
     void dump(std::ostream &os) const;
 
+    /** The tick a panic is stamped with. */
+    Tick now() const { return _queue.now(); }
+
+    /**
+     * The panic path's dump (sim/logging.cc): dump() into `os`, and
+     * the same text appended to the dump file, which survives even a
+     * trapped panic. A panic raised while the dump runs (a reporter
+     * walking suspect state) writes no second dump and cannot mask
+     * the first panic.
+     */
+    void panicDump(std::ostream &os);
+
     /** Health counters ("health" stat group: scans, audits). */
     StatGroup &stats() { return _stats; }
 
@@ -276,16 +286,13 @@ class Monitor
     /** One watchdog scan; trips on findings, else reschedules. */
     void scan();
 
-    static Tick tickThunk(void *ctx);
-    static void dumpThunk(void *ctx, std::ostream &os);
-
     EventQueue &_queue;
-    Context &_context;
     std::vector<Reporter *> _reporters;
     Tick _interval = 0;
     Tick _deadline = 0;
     EventHandle _scanEvent;
     std::string _dumpFile;
+    bool _dumping = false; //!< Recursive-panic guard.
 
     StatGroup _stats{"health"};
     Scalar _scans{"scans", "watchdog scans completed"};

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "sim/context.hh"
+#include "sim/health.hh"
 
 namespace pm {
 
@@ -22,9 +23,9 @@ formatHeader(const char *kind, const char *file, int line,
     char buf[256];
     std::snprintf(buf, sizeof(buf), "%s: %s:%d: ", kind, file, line);
     std::string head(buf);
-    if (ctx.tickKnown()) {
+    if (const sim::health::Monitor *monitor = ctx.monitor()) {
         std::snprintf(buf, sizeof(buf), "[tick %llu] ",
-                      (unsigned long long)ctx.currentTick(0));
+                      (unsigned long long)monitor->now());
         head += buf;
     }
     return head;
@@ -45,15 +46,17 @@ vformat(const char *fmt, va_list args)
 
 /**
  * Terminal path shared by panicImpl and assertFailImpl: capture the
- * forensic dump from the current context's hooks, then either throw
- * (PanicTrap active on this thread — the sweep harness catches it and
- * keeps sibling points running) or print everything and abort.
+ * forensic dump from the current context's health monitor, then
+ * either throw (PanicTrap active on this thread — the sweep harness
+ * catches it and keeps sibling points running) or print everything
+ * and abort.
  */
 [[noreturn]] void
 finishPanic(sim::Context &ctx, std::string message)
 {
     std::ostringstream dump;
-    ctx.runDumpHooks(dump);
+    if (sim::health::Monitor *monitor = ctx.monitor())
+        monitor->panicDump(dump);
     if (sim::PanicTrap::active())
         throw sim::PanicError(std::move(message), dump.str());
     std::fputs(message.c_str(), stderr);

@@ -54,15 +54,12 @@ void setInformEnabled(bool enabled);
 
 /*
  * Panic forensics — the tick prefix on every panic()/pm_assert failure
- * and the structured machine dump that follows it — resolve through
- * the calling thread's current sim::Context (sim/context.hh). Register
- * hooks via Context::pushPanicHook; bind a simulation's context with
- * Context::Scope. Hooks are raw function pointers, not std::function:
- * this header is on every hot path and the std-function lint rule
- * fences src/sim.
+ * and the structured machine dump that follows it — come from the
+ * health monitor of the calling thread's current sim::Context
+ * (sim/context.hh); bind a simulation's context with Context::Scope.
  *
- * fatal() — a user error — prints the tick but runs no dump hooks: a
- * bad command-line flag does not warrant a machine-state dump.
+ * fatal() — a user error — prints the tick but writes no dump: a bad
+ * command-line flag does not warrant a machine-state dump.
  */
 
 #define pm_panic(...) ::pm::panicImpl(__FILE__, __LINE__, __VA_ARGS__)

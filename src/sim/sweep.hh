@@ -72,7 +72,7 @@ struct Failure
 {
     std::size_t index; //!< Which point failed.
     std::string message; //!< The panic/exception message.
-    std::string dump; //!< Forensic dump ("" if no hooks fired).
+    std::string dump; //!< Forensic dump ("" when the context had no monitor).
 };
 
 /**

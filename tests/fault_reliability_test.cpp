@@ -69,7 +69,7 @@ crcCatchesFlip(unsigned wordIdx, unsigned bit)
         net::Symbol s = wire.pop();
         if (s.kind == net::SymKind::Data && seen++ == wordIdx)
             s.data ^= 1ull << bit;
-        b.rxPort()->push(s, queue.now());
+        b.rxPort()->push(s);
     }
     if (b.messagesReceived() != 1 || !b.messageComplete())
         return false;
@@ -388,7 +388,7 @@ twoClusterFaultyFingerprint()
         fault.stats().dump(os);
         sys.ni(0).stats().dump(os);
         sys.ni(2).stats().dump(os);
-        sim::Context::current().runDumpHooks(os);
+        sys.health().dump(os);
     }
     // The fault counters are live by the time anyone reads them.
     EXPECT_GT(fault.wordsCorrupted.value(), 0.0);

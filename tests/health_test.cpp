@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -46,8 +48,7 @@ smallSystem(unsigned nodes = 2)
 TEST(HealthMonitor, DisabledWatchdogSchedulesNothing)
 {
     sim::EventQueue queue;
-    sim::Context ctx;
-    sim::health::Monitor mon(queue, ctx);
+    sim::health::Monitor mon(queue);
     EXPECT_FALSE(mon.watchdogEnabled());
     EXPECT_EQ(queue.pending(), 0u);
 
@@ -201,6 +202,39 @@ TEST(HealthDump, MachineDumpNamesEveryRegisteredComponent)
     EXPECT_NE(text.find("driver.node0"), std::string::npos);
 }
 
+TEST(HealthDump, TrappedPanicCarriesTheDumpAndAppendsItToTheDumpFile)
+{
+    const std::string path = testing::TempDir() + "pm_health_dump.txt";
+    std::ofstream(path) << "earlier dump\n";
+    msg::System sys(smallSystem());
+    msg::PmComm comm(sys, 0);
+    sys.health().setDumpFile(path);
+
+    std::string dump;
+    {
+        sim::PanicTrap trap;
+        sim::Context::Scope scope(sys.context());
+        try {
+            pm_panic("dump file probe");
+            FAIL() << "pm_panic returned";
+        } catch (const sim::PanicError &e) {
+            EXPECT_NE(std::string(e.what()).find("[tick 0] dump file probe"),
+                      std::string::npos)
+                << e.what();
+            dump = e.dump();
+        }
+    }
+    std::ostringstream expected;
+    sys.health().dump(expected);
+    EXPECT_EQ(dump, expected.str());
+    EXPECT_NE(dump.find("driver.node0"), std::string::npos);
+
+    std::ostringstream file;
+    file << std::ifstream(path).rdbuf();
+    std::remove(path.c_str());
+    EXPECT_EQ(file.str(), "earlier dump\n" + dump);
+}
+
 // ---- Watchdog trip + panic forensics (death tests). ----------------------
 
 /** A soak whose forward path is down for good: progress never comes. */
@@ -250,7 +284,7 @@ TEST(TransceiverDeath, SymbolsBeforeOutputPanics)
     net::TransceiverParams tp;
     tp.name = "xcvr.t";
     net::Transceiver xcvr(tp, queue);
-    xcvr.inputPort()->push(net::Symbol::makeData(1), 0);
+    xcvr.inputPort()->push(net::Symbol::makeData(1));
     EXPECT_DEATH(queue.run(), "before the output was connected");
 }
 

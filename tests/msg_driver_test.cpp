@@ -8,14 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "machines/machines.hh"
 #include "msg/driver.hh"
 #include "msg/probes.hh"
 #include "msg/system.hh"
+#include "sim/fault.hh"
 
 namespace {
 
@@ -86,14 +89,57 @@ TEST(PmComm, MachineIsReusableAcrossPhasesWithLiveEndpoints)
     while (!delivered && sys.queue().step()) {
     }
     ASSERT_TRUE(delivered);
-    ASSERT_FALSE(sender.idle()); // ACK still outstanding: the trap.
+    ASSERT_FALSE(sender.quiescent()); // ACK still outstanding: the trap.
 
     const double us = measureOneWayLatencyUs(sys, 0, 1, 8);
     EXPECT_GT(us, 2.75 * 0.99);
     EXPECT_LT(us, 2.75 * 1.01);
-    EXPECT_TRUE(sender.idle());
+    EXPECT_TRUE(sender.quiescent());
     EXPECT_DOUBLE_EQ(sender.retransmits.value(), 0.0);
     EXPECT_DOUBLE_EQ(sender.deliveryFailures.value(), 0.0);
+}
+
+/** The health monitor's count of phase-boundary audits. */
+unsigned
+auditsRun(System &sys)
+{
+    std::ostringstream os;
+    sys.health().stats().dump(os);
+    const std::string stats = os.str();
+    const auto pos = stats.find("health.audits_run ");
+    return pos == std::string::npos
+               ? ~0u
+               : static_cast<unsigned>(std::strtoul(
+                     stats.c_str() + pos + 18, nullptr, 10));
+}
+
+// Every word into node 1 is dropped, so the sender gives up on it in
+// the middle of a drain. The drain must stop there and return false:
+// the machine it was asked to audit will not go quiet in general (a
+// started send to the dead peer stays wedged), so it neither spins
+// nor audits.
+TEST(System, DrainStopsUnauditedWhenAnEndpointGivesUp)
+{
+    sim::FaultModel fault(1);
+    sim::FaultConfig dead;
+    dead.drop = 1.0;
+    fault.configure("xbar.c0.net0.out1", dead); // node 1's inbound link
+    SystemParams sp = smallSystem();
+    sp.fabric.fault = &fault;
+    System sys(sp);
+    sys.resetForRun();
+    DriverCosts costs;
+    costs.retransBase = 2000;
+    costs.maxRetries = 2;
+    PmComm sender(sys, 0, 0, 0, costs);
+    PmComm receiver(sys, 1, 0, 0, costs);
+    sender.onDeliveryFailure([](unsigned, std::uint64_t, unsigned) {});
+    sender.postSend(1, makePayload(64, 5));
+
+    const unsigned audits = auditsRun(sys);
+    EXPECT_FALSE(sys.drain("give-up test"));
+    EXPECT_EQ(sender.deadPeers(), std::vector<unsigned>{1});
+    EXPECT_EQ(auditsRun(sys), audits);
 }
 
 // Fig 12 runs one measurement per message size on a single machine.

@@ -42,7 +42,7 @@ struct Rig
     void
     inject(unsigned i, const Symbol &s)
     {
-        xbar->inputPort(i)->push(s, queue.now());
+        xbar->inputPort(i)->push(s);
     }
 };
 
@@ -211,7 +211,7 @@ TEST(Crossbar, RouteToUnconnectedOutputPanics)
     Crossbar x(p, q);
     InputFifo sink("s", 8);
     x.connectOutput(0, &sink);
-    x.inputPort(1)->push(Symbol::makeRoute(2), 0);
+    x.inputPort(1)->push(Symbol::makeRoute(2));
     EXPECT_DEATH(q.run(), "invalid output");
 }
 

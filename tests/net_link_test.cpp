@@ -42,8 +42,8 @@ TEST(Symbol, FactoriesSetFields)
 TEST(InputFifo, PushPopFifoOrder)
 {
     InputFifo f("f", 4);
-    f.push(Symbol::makeData(1), 0);
-    f.push(Symbol::makeData(2), 0);
+    f.push(Symbol::makeData(1));
+    f.push(Symbol::makeData(2));
     EXPECT_EQ(f.size(), 2u);
     EXPECT_EQ(f.pop().data, 1u);
     EXPECT_EQ(f.pop().data, 2u);
@@ -54,9 +54,9 @@ TEST(InputFifo, CapacityAndSpace)
 {
     InputFifo f("f", 2);
     EXPECT_EQ(f.freeSpace(), 2u);
-    f.push(Symbol::makeData(1), 0);
+    f.push(Symbol::makeData(1));
     EXPECT_EQ(f.freeSpace(), 1u);
-    f.push(Symbol::makeData(2), 0);
+    f.push(Symbol::makeData(2));
     EXPECT_EQ(f.freeSpace(), 0u);
     EXPECT_FALSE(f.hasSpace());
 }
@@ -64,19 +64,19 @@ TEST(InputFifo, CapacityAndSpace)
 TEST(InputFifo, OverflowPanics)
 {
     InputFifo f("f", 1);
-    f.push(Symbol::makeData(1), 0);
-    EXPECT_DEATH(f.push(Symbol::makeData(2), 0), "full FIFO");
+    f.push(Symbol::makeData(1));
+    EXPECT_DEATH(f.push(Symbol::makeData(2)), "full FIFO");
 }
 
 TEST(InputFifo, SpaceCallbackFiresOncePerSubscription)
 {
     InputFifo f("f", 1);
-    f.push(Symbol::makeData(1), 0);
+    f.push(Symbol::makeData(1));
     int fired = 0;
     f.onSpace([&] { ++fired; });
     (void)f.pop();
     EXPECT_EQ(fired, 1);
-    f.push(Symbol::makeData(2), 0);
+    f.push(Symbol::makeData(2));
     (void)f.pop();
     EXPECT_EQ(fired, 1); // one-shot
 }
@@ -86,8 +86,8 @@ TEST(InputFifo, FillCallbackFiresOnEveryPush)
     InputFifo f("f", 4);
     int fills = 0;
     f.setFillCallback([&] { ++fills; });
-    f.push(Symbol::makeData(1), 0);
-    f.push(Symbol::makeData(2), 0);
+    f.push(Symbol::makeData(1));
+    f.push(Symbol::makeData(2));
     EXPECT_EQ(fills, 2);
 }
 
@@ -100,7 +100,7 @@ TEST(InputFifo, ClearFiresNothingDropsWaitersKeepsFillCallback)
     // re-register received symbols into a deaf FIFO on the next run:
     // the fill callback is wiring, and must survive.
     InputFifo f("f", 1);
-    f.push(Symbol::makeData(1), 0);
+    f.push(Symbol::makeData(1));
     int spaceFired = 0, fillFired = 0;
     f.onSpace([&] { ++spaceFired; });
     f.setFillCallback([&] { ++fillFired; });
@@ -110,7 +110,7 @@ TEST(InputFifo, ClearFiresNothingDropsWaitersKeepsFillCallback)
     EXPECT_TRUE(f.empty());
     // A second run on the cleared FIFO still delivers fill
     // notifications through the surviving callback.
-    f.push(Symbol::makeData(2), 0);
+    f.push(Symbol::makeData(2));
     EXPECT_EQ(fillFired, 1);
     // But the stale one-shot space waiter must not fire on its drains.
     (void)f.pop();
@@ -120,8 +120,8 @@ TEST(InputFifo, ClearFiresNothingDropsWaitersKeepsFillCallback)
 TEST(InputFifo, TracksPeakOccupancy)
 {
     InputFifo f("f", 4);
-    f.push(Symbol::makeData(1), 0);
-    f.push(Symbol::makeData(2), 0);
+    f.push(Symbol::makeData(1));
+    f.push(Symbol::makeData(2));
     (void)f.pop();
     EXPECT_EQ(f.maxOccupancy.value(), 2.0);
 }

@@ -42,7 +42,6 @@ TEST(Fabric, IntraClusterRouteIsOneByte)
     const auto r = f.route(0, 5);
     ASSERT_EQ(r.size(), 1u);
     EXPECT_EQ(r[0], 5u);
-    EXPECT_EQ(f.crossbarsOnPath(0, 5), 1u);
 }
 
 TEST(Fabric, InterClusterRouteIsThreeBytes)
@@ -55,7 +54,6 @@ TEST(Fabric, InterClusterRouteIsThreeBytes)
     EXPECT_LT(r[0], 12u);
     EXPECT_EQ(r[1], 1u); // destination cluster port on the L2 crossbar
     EXPECT_EQ(r[2], 3u); // destination node port
-    EXPECT_EQ(f.crossbarsOnPath(0, 11), 3u);
 }
 
 TEST(Fabric, SpreadSelectsDifferentUplinks)
@@ -158,7 +156,7 @@ TEST(Fabric, SymbolTravelsNodeToNode)
     src.pushSend(Symbol::makeClose(), 0);
     q.run();
     ASSERT_EQ(dst.recvAvailable(), 1u);
-    EXPECT_EQ(dst.popRecv(q.now()), 0xCAFEu);
+    EXPECT_EQ(dst.popRecv(), 0xCAFEu);
     ASSERT_TRUE(dst.frontMessageDrained());
     EXPECT_TRUE(dst.consumeMessage().crcOk);
 }
@@ -175,7 +173,7 @@ TEST(Fabric, SymbolTravelsAcrossCabinets)
     src.pushSend(Symbol::makeClose(), 0);
     q.run();
     ASSERT_EQ(dst.recvAvailable(), 1u);
-    EXPECT_EQ(dst.popRecv(q.now()), 0xD00Du);
+    EXPECT_EQ(dst.popRecv(), 0xD00Du);
     ASSERT_TRUE(dst.frontMessageDrained());
     EXPECT_TRUE(dst.consumeMessage().crcOk);
 }
@@ -216,7 +214,7 @@ TEST(Fabric, ResetVoidsInFlightSymbols)
     q.run();
     ASSERT_TRUE(f.ni(3).messageComplete());
     EXPECT_EQ(f.ni(3).messagesReceived(), 1u);
-    EXPECT_EQ(f.ni(3).popRecv(q.now()), 42u);
+    EXPECT_EQ(f.ni(3).popRecv(), 42u);
 }
 
 } // namespace

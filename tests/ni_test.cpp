@@ -99,8 +99,8 @@ TEST(LinkInterface, WordsCrossTheLink)
     p.queue.run();
     // Both words visible (the CRC word was stripped).
     ASSERT_EQ(p.b->recvAvailable(), 2u);
-    EXPECT_EQ(p.b->popRecv(p.queue.now()), 0x1111u);
-    EXPECT_EQ(p.b->popRecv(p.queue.now()), 0x2222u);
+    EXPECT_EQ(p.b->popRecv(), 0x1111u);
+    EXPECT_EQ(p.b->popRecv(), 0x2222u);
     EXPECT_EQ(p.b->messagesReceived(), 1u);
     ASSERT_TRUE(p.b->frontMessageDrained());
     EXPECT_TRUE(p.b->consumeMessage().crcOk);
@@ -144,7 +144,7 @@ TEST(LinkInterface, CorruptionIsDetected)
             s.data ^= 1;
             first = false;
         }
-        b.rxPort()->push(s, queue.now());
+        b.rxPort()->push(s);
     }
     EXPECT_EQ(b.messagesReceived(), 1u);
     ASSERT_TRUE(b.messageComplete());
@@ -178,16 +178,16 @@ TEST(LinkInterface, QueuedBehindMessageCannotMaskAnError)
             s.data ^= 0x10; // corrupt only the first payload word
             first = false;
         }
-        b.rxPort()->push(s, queue.now());
+        b.rxPort()->push(s);
     }
     EXPECT_EQ(b.messagesReceived(), 2u);
     ASSERT_EQ(b.recvAvailable(), 1u);
-    EXPECT_EQ(b.popRecv(0), 0xBADu ^ 0x10u);
+    EXPECT_EQ(b.popRecv(), 0xBADu ^ 0x10u);
     auto bad = b.consumeMessage();
     EXPECT_FALSE(bad.crcOk);
     EXPECT_EQ(bad.words, 1u);
     ASSERT_EQ(b.recvAvailable(), 1u);
-    EXPECT_EQ(b.popRecv(0), 0x600Du);
+    EXPECT_EQ(b.popRecv(), 0x600Du);
     auto good = b.consumeMessage();
     EXPECT_TRUE(good.crcOk);
     EXPECT_EQ(good.words, 1u);
@@ -221,8 +221,8 @@ TEST(LinkInterface, BackToBackMessagesKeepCrcBoundaries)
     // three messages must be drained and consumed in turn.
     for (int m = 0; m < 3; ++m) {
         ASSERT_EQ(p.b->recvAvailable(), 2u);
-        EXPECT_EQ(p.b->popRecv(0), 100u + m);
-        EXPECT_EQ(p.b->popRecv(0), 200u + m);
+        EXPECT_EQ(p.b->popRecv(), 100u + m);
+        EXPECT_EQ(p.b->popRecv(), 200u + m);
         ASSERT_TRUE(p.b->frontMessageDrained());
         EXPECT_TRUE(p.b->consumeMessage().crcOk);
     }
@@ -254,7 +254,7 @@ TEST(LinkInterface, SendFifoOverrunPanics)
 TEST(LinkInterface, EmptyRecvReadPanics)
 {
     Pair p;
-    EXPECT_DEATH((void)p.a->popRecv(0), "read past the receive");
+    EXPECT_DEATH((void)p.a->popRecv(), "read past the receive");
 }
 
 TEST(LinkInterface, ReceiveFifoBackpressuresTheWire)
@@ -271,7 +271,7 @@ TEST(LinkInterface, ReceiveFifoBackpressuresTheWire)
     std::vector<std::uint64_t> words;
     while (true) {
         while (p.b->recvAvailable() > 0) {
-            words.push_back(p.b->popRecv(p.queue.now()));
+            words.push_back(p.b->popRecv());
             ++got;
         }
         if (!p.queue.step())
@@ -305,7 +305,7 @@ TEST(Transceiver, RelaysWithCableLatency)
     InputFifo sink("sink", 64);
     xcvr.connectOutput(&sink);
 
-    xcvr.inputPort()->push(Symbol::makeData(7), 0);
+    xcvr.inputPort()->push(Symbol::makeData(7));
     queue.run();
     ASSERT_EQ(sink.size(), 1u);
     EXPECT_EQ(sink.pop().data, 7u);
@@ -321,7 +321,7 @@ TEST(Transceiver, DeepBufferAbsorbsBursts)
     InputFifo sink("sink", 1024);
     xcvr.connectOutput(&sink);
     for (int i = 0; i < 200; ++i)
-        xcvr.inputPort()->push(Symbol::makeData(i), 0);
+        xcvr.inputPort()->push(Symbol::makeData(i));
     queue.run();
     EXPECT_EQ(sink.size(), 200u);
 }

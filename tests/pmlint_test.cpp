@@ -19,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <initializer_list>
 #include <string>
 
@@ -170,6 +172,73 @@ TEST(PmLint, SourceFileRootIsCleanLikeItsDirectory)
                               " src/sim/trace.hh");
     EXPECT_EQ(res.exitCode, 0) << res.output;
     EXPECT_EQ(res.output, "");
+}
+
+TEST(PmLint, SubdirectoryRootsLintUnderTheirTreePath)
+{
+    // A root below src/ names its files by their place under src/, as
+    // a run on src does, so include guards and the sim/logging.cc
+    // abort exemption match.
+    const std::string top = "cd " + std::string(PMLINT_SRC) + "/.. && ";
+    for (const std::string &cmd :
+         {top + PMLINT_BIN + " src/sim", top + PMLINT_BIN + " src/net",
+          top + "cd src && " + PMLINT_BIN + " sim"}) {
+        const RunResult res = run(cmd);
+        EXPECT_EQ(res.exitCode, 0) << cmd << "\n" << res.output;
+        EXPECT_EQ(res.output, "") << cmd;
+    }
+}
+
+TEST(PmLint, ParameterCapturedIntoASinkMakesASink)
+{
+    // `ready` hands its `wake` parameter to an EventFn sink inside a
+    // lambda, the way net::LinkTx::ready does, so `ready` stores what
+    // it is given and a [&] lambda passed to it escapes.
+    namespace fs = std::filesystem;
+    const fs::path root =
+        fs::path(testing::TempDir()) / "pmlint_forward_sink";
+    fs::remove_all(root);
+    fs::create_directories(root / "net");
+    std::ofstream(root / "net" / "ready_shape.cc")
+        << "#include \"sim/event.hh\"\n"
+           "\n"
+           "namespace pm::net {\n"
+           "\n"
+           "struct Sink\n"
+           "{\n"
+           "    void onSpace(sim::EventFn cb);\n"
+           "};\n"
+           "\n"
+           "template <typename Wake>\n"
+           "bool\n"
+           "ready(Sink &sink, Wake wake)\n"
+           "{\n"
+           "    sink.onSpace([wake] { wake(0); });\n"
+           "    return false;\n"
+           "}\n"
+           "\n"
+           "void\n"
+           "pump(Sink &sink)\n"
+           "{\n"
+           "    int n = 0;\n"
+           "    (void)ready(sink, [&](Tick) { ++n; });\n"
+           "    (void)ready(sink, [n](Tick) {});\n"
+           "}\n"
+           "\n"
+           "} // namespace pm::net\n";
+    const RunResult res = run(std::string(PMLINT_BIN) + " " +
+                              root.string());
+    fs::remove_all(root);
+    EXPECT_EQ(res.exitCode, 1);
+    EXPECT_EQ(res.output.rfind("net/ready_shape.cc:22:23: "
+                               "[dangling-capture] by-reference capture "
+                               "[&] escapes into EventFn sink 'ready'",
+                               0),
+              0u)
+        << res.output;
+    EXPECT_NE(res.output.find("pmlint: 1 finding in 1 file\n"),
+              std::string::npos)
+        << res.output;
 }
 
 TEST(PmLint, MissingRootExitsWithUsageError)

@@ -657,23 +657,6 @@ TEST(ClockDomain, CyclesScaleLinearly)
     EXPECT_EQ(clk.cycles(7), 70000u);
 }
 
-TEST(ClockDomain, NextEdgeAlignsUp)
-{
-    ClockDomain clk(100.0);
-    EXPECT_EQ(clk.nextEdge(0), 0u);
-    EXPECT_EQ(clk.nextEdge(1), 10000u);
-    EXPECT_EQ(clk.nextEdge(10000), 10000u);
-    EXPECT_EQ(clk.nextEdge(10001), 20000u);
-}
-
-TEST(ClockDomain, TicksToCyclesFloors)
-{
-    ClockDomain clk(100.0);
-    EXPECT_EQ(clk.ticksToCycles(9999), 0u);
-    EXPECT_EQ(clk.ticksToCycles(10000), 1u);
-    EXPECT_EQ(clk.ticksToCycles(25000), 2u);
-}
-
 TEST(Stats, ScalarAccumulates)
 {
     sim::Scalar s("s");

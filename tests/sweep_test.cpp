@@ -59,10 +59,7 @@ measurePoint(unsigned bytes)
                   msg::measureOneWayLatencyUs(sys, 0, 1, bytes, 4));
     res.row = buf;
     std::ostringstream os;
-    {
-        sim::Context::Scope scope(sys.context());
-        sim::Context::current().runDumpHooks(os);
-    }
+    sys.health().dump(os);
     res.dump = os.str();
     return res;
 }
@@ -317,11 +314,11 @@ TEST(Context, SystemsKeepTheirForensicsApart)
     msg::System a(twoNodeParams());
     msg::System b(twoNodeParams());
     EXPECT_NE(&a.context(), &b.context());
-    EXPECT_GE(a.context().panicHooks(), 1u);
-    EXPECT_GE(b.context().panicHooks(), 1u);
+    EXPECT_EQ(a.context().monitor(), &a.health());
+    EXPECT_EQ(b.context().monitor(), &b.health());
 
-    // A panic trapped while A is bound carries A's dump; B's hooks
-    // never run. (The trap converts the panic into an exception.)
+    // A panic trapped while A is bound carries A's dump; B's monitor
+    // never dumps. (The trap converts the panic into an exception.)
     sim::PanicTrap trap;
     sim::Context::Scope scope(a.context());
     try {

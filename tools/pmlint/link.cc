@@ -35,6 +35,16 @@ checkDanglingCapture(const std::vector<TuIndex> &tus, Diags &out)
     std::set<std::string> sinks = builtinSinks();
     for (const TuIndex &tu : tus)
         sinks.insert(tu.sinks.begin(), tu.sinks.end());
+    // A forward into a sink makes a sink, which may complete another
+    // forward: repeat until no function is added.
+    for (bool grew = true; grew;) {
+        grew = false;
+        for (const TuIndex &tu : tus)
+            for (const Forward &f : tu.forwards)
+                if (sinks.count(f.callee) &&
+                    sinks.insert(f.function).second)
+                    grew = true;
+    }
     for (const TuIndex &tu : tus) {
         for (const LambdaSite &l : tu.lambdas) {
             if (!sinks.count(l.callee))

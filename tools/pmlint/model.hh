@@ -42,6 +42,18 @@ struct LambdaSite
     std::string captures; //!< The offending entries, comma-joined.
 };
 
+/**
+ * A function that captures one of its own parameters into a lambda
+ * passed to `callee`. When `callee` stores an EventFn, the function
+ * stores what its caller passed: it is a sink too (LinkTx::ready
+ * hands `wake` to the stop-signal waiter list this way).
+ */
+struct Forward
+{
+    std::string function;
+    std::string callee;
+};
+
 /** The complete pass-1 result for one translation unit. */
 struct TuIndex
 {
@@ -51,6 +63,7 @@ struct TuIndex
     std::vector<IncludeEdge> includes;
     std::vector<LambdaSite> lambdas;
     std::vector<std::string> sinks; //!< Functions taking an EventFn.
+    std::vector<Forward> forwards;
 };
 
 } // namespace pmlint

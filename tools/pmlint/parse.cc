@@ -22,9 +22,10 @@ isIdent(const Token &t, const char *text)
 
 /**
  * The token walk. This is not a C++ parser: it pattern-matches the
- * two constructs the link stage needs — functions whose parameter
- * list mentions EventFn, and lambdas with by-reference captures passed
- * as call arguments. Unknown syntax is skipped, never fatal.
+ * three constructs the link stage needs — functions whose parameter
+ * list mentions EventFn, lambdas with by-reference captures passed as
+ * call arguments, and functions that capture a parameter into a
+ * lambda passed to a call. Unknown syntax is skipped, never fatal.
  */
 class Indexer
 {
@@ -139,6 +140,7 @@ class Indexer
         // Parse the capture list.
         bool byRef = false;
         std::string offending;
+        std::set<std::string> captured; //!< Names the captures mention.
         std::size_t close = i + 1;
         {
             int depth = 1;
@@ -146,6 +148,9 @@ class Indexer
             auto flush = [&]() {
                 if (entry.empty())
                     return;
+                for (std::size_t k : entry)
+                    if (_toks[k].kind == Token::Kind::Ident)
+                        captured.insert(_toks[k].text);
                 const Token &first = _toks[entry[0]];
                 if (isPunct(first, "&")) {
                     byRef = true;
@@ -186,9 +191,91 @@ class Indexer
         if (byRef && !callee.empty())
             _out->lambdas.push_back({_toks[i].line, _toks[i].col, callee,
                                      offending});
+        if (!callee.empty())
+            noteForward(i, captured, callee);
         // Do not skip the body: nested lambdas inside are walked
         // normally.
         return close;
+    }
+
+    /**
+     * The function definition whose body encloses token `i`: the index
+     * of its name, or 0 when there is none. Blocks of if/for/while/
+     * switch/catch, lambda bodies, classes and namespaces are walked
+     * out of.
+     */
+    std::size_t
+    enclosingFunction(std::size_t i) const
+    {
+        static const std::set<std::string> notFunctions = {
+            "if", "for", "while", "switch", "catch",
+        };
+        static const std::set<std::string> qualifiers = {
+            "const", "noexcept", "override", "final", "mutable",
+        };
+        int braces = 0; // balanced {...} groups met scanning backward
+        for (std::size_t j = i; j-- > 0;) {
+            if (isPunct(_toks[j], "}")) {
+                ++braces;
+                continue;
+            }
+            if (!isPunct(_toks[j], "{"))
+                continue;
+            if (braces > 0) {
+                --braces;
+                continue;
+            }
+            // An unclosed '{': a function body when `name(...) quals`
+            // comes before it.
+            std::size_t k = j;
+            while (k > 0 && _toks[k - 1].kind == Token::Kind::Ident &&
+                   qualifiers.count(_toks[k - 1].text))
+                --k;
+            if (k == 0 || !isPunct(_toks[k - 1], ")"))
+                continue;
+            int depth = 0;
+            std::size_t open = k - 1;
+            for (; open > 0; --open) {
+                if (isPunct(_toks[open], ")"))
+                    ++depth;
+                else if (isPunct(_toks[open], "(") && --depth == 0)
+                    break;
+            }
+            if (open > 0 && _toks[open - 1].kind == Token::Kind::Ident &&
+                !notFunctions.count(_toks[open - 1].text))
+                return open - 1;
+        }
+        return 0;
+    }
+
+    /**
+     * Record a Forward when the lambda at `i`, passed to `callee`,
+     * captures a parameter of the function it sits in. A parameter is
+     * an identifier directly followed by ',', ')' or '=' in the
+     * function's parameter list.
+     */
+    void
+    noteForward(std::size_t i, const std::set<std::string> &captured,
+                const std::string &callee)
+    {
+        const std::size_t name = enclosingFunction(i);
+        if (name == 0)
+            return;
+        int depth = 0;
+        for (std::size_t k = name + 1; k + 1 < _toks.size(); ++k) {
+            if (isPunct(_toks[k], "("))
+                ++depth;
+            else if (isPunct(_toks[k], ")") && --depth == 0)
+                return;
+            const Token &next = _toks[k + 1];
+            if (depth == 1 && _toks[k].kind == Token::Kind::Ident &&
+                (isPunct(next, ",") || isPunct(next, ")") ||
+                 isPunct(next, "=")) &&
+                captured.count(_toks[k].text)) {
+                _out->forwards.push_back({_toks[name].text, callee});
+                return;
+            }
+        }
     }
 
     /** A function whose parameter list mentions EventFn is a sink. */

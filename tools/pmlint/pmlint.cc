@@ -14,11 +14,11 @@
  * See DESIGN.md "Determinism & event-kernel rules" for each rule's
  * hazard, and tests/pmlint/ for one seeded violation per rule.
  *
- * Paths in diagnostics are relative to the root that contained them,
- * so path-scoped rules (hot-path dirs, include-guard macros, layers)
- * behave identically wherever the tree is checked out. A file root
- * counts as contained in its top-level directory (see fileRootPath).
- * Run it as `pmlint src bench tools` from the repo root.
+ * Paths in diagnostics name each file by its place under the tree's
+ * src/, bench/ or tools/ (see lintPath), so path-scoped rules (hot-path
+ * dirs, include-guard macros, layers) behave identically wherever the
+ * tree is checked out and however a root is spelled. Run it as
+ * `pmlint src bench tools` from the repo root.
  */
 
 #include <algorithm>
@@ -69,45 +69,63 @@ lintableFile(const fs::path &p)
     return ext == ".hh" || ext == ".h" || ext == ".cc" || ext == ".cpp";
 }
 
-/**
- * The path a file root is linted under: the one its top-level
- * directory, given as a root, would give it. That is the path as
- * written (made relative first when it is absolute and inside the
- * working directory), normalized, without its first component:
- * `src/sim/trace.hh` lints as `sim/trace.hh`, exactly as in a run on
- * `src`, so path-scoped rules see the same directory either way.
- */
-std::string
-fileRootPath(const fs::path &root)
+/** A directory holding src/, bench/ and tools/: the tree's top. */
+bool
+treeTop(const fs::path &dir)
 {
-    fs::path p = root.lexically_normal();
-    if (p.is_absolute()) {
-        std::error_code ec;
-        const fs::path rel = p.lexically_relative(fs::current_path(ec));
-        if (!ec && !rel.empty() && *rel.begin() != "..")
-            p = rel;
-    }
-    fs::path rest;
-    for (auto it = std::next(p.begin()); it != p.end(); ++it)
-        rest /= *it;
-    return (rest.empty() ? p : rest).generic_string();
+    std::error_code ec;
+    return fs::is_directory(dir / "src", ec) &&
+           fs::is_directory(dir / "bench", ec) &&
+           fs::is_directory(dir / "tools", ec);
 }
 
-/** Collect lintable files under `root` as (relPath, fullPath). */
+/**
+ * The path `file` is linted under, which path-scoped rules (hot-path
+ * dirs, include-guard macros, layers) key on. A file in the tree's
+ * src/, bench/ or tools/ is named by its place there (`sim/trace.hh`),
+ * however its root was spelled: `src`, `src/sim`, `sim` run from src/,
+ * or the file itself. Any other file is named relative to `base`.
+ */
+std::string
+lintPath(const fs::path &file, const fs::path &base)
+{
+    std::error_code ec;
+    const fs::path abs = fs::absolute(file, ec).lexically_normal();
+    for (fs::path dir = abs.parent_path(); dir.has_relative_path();
+         dir = dir.parent_path()) {
+        const fs::path name = dir.filename();
+        if ((name == "src" || name == "bench" || name == "tools") &&
+            treeTop(dir.parent_path()))
+            return abs.lexically_relative(dir).generic_string();
+    }
+    return abs.lexically_relative(fs::absolute(base, ec).lexically_normal())
+        .generic_string();
+}
+
+/**
+ * The directory a file root outside the tree is named from: its first
+ * component, the directory root a run on it would start from.
+ */
+fs::path
+fileRootBase(const fs::path &root)
+{
+    const fs::path p = root.lexically_normal();
+    return std::next(p.begin()) == p.end() ? p.parent_path() : *p.begin();
+}
+
+/** Collect lintable files under `root` as (lintPath, fullPath). */
 std::vector<std::pair<std::string, fs::path>>
 collect(const fs::path &root)
 {
     std::vector<std::pair<std::string, fs::path>> files;
     if (fs::is_regular_file(root)) {
-        files.emplace_back(fileRootPath(root), root);
+        files.emplace_back(lintPath(root, fileRootBase(root)), root);
         return files;
     }
     for (const auto &entry : fs::recursive_directory_iterator(root)) {
         if (!entry.is_regular_file() || !lintableFile(entry.path()))
             continue;
-        files.emplace_back(
-            fs::relative(entry.path(), root).generic_string(),
-            entry.path());
+        files.emplace_back(lintPath(entry.path(), root), entry.path());
     }
     // Directory iteration order is filesystem-defined; sort so pmlint
     // itself is deterministic (it would be embarrassing otherwise).
