@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -254,10 +255,11 @@ BM_ResourceCalendarAcquire(benchmark::State &state)
 BENCHMARK(BM_ResourceCalendarAcquire);
 
 /**
- * The PIO/message path: one CPU appends beat after beat and nothing
- * prunes, so the calendar grows until `range(0)` intervals, then is
- * reset (untimed) and grows again. Every request lands at the tail,
- * a few of them just before its end.
+ * A calendar nothing prunes: one CPU appends beat after beat, so the
+ * calendar grows until `range(0)` intervals, then is reset (untimed)
+ * and filled again. The reset keeps the vector's capacity, so only
+ * the first fill pays for its growth. Every request lands at the
+ * tail, a few of them just before its end.
  */
 void
 BM_ResourceCalendarTailGrowth(benchmark::State &state)
@@ -311,6 +313,44 @@ BM_ResourceCalendarChunkedBackfill(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kChunk);
 }
 BENCHMARK(BM_ResourceCalendarChunkedBackfill)->Arg(2)->Arg(8);
+
+/**
+ * The message path's PIO stream on one PowerMANNA node: processor 0
+ * issues beat after beat through Proc::pioBeat. Every 2^18 beats
+ * the node is rebuilt (untimed), as each probe point builds a new
+ * System; a 64 KB x 8 unidirectional probe makes 195,440 beats on its
+ * sender. With `range(0)` 0 no floor is set
+ * and the calendars grow by one interval per beat from empty; with 1
+ * the bus's time floor follows the processor after every beat, as
+ * PmComm's engine sets it. One item is one beat.
+ */
+void
+BM_NodeBusPioStream(benchmark::State &state)
+{
+    const bool withFloor = state.range(0) != 0;
+    constexpr std::uint64_t kStreamBeats = 1u << 18;
+    std::unique_ptr<node::Node> machine;
+    cpu::Proc *proc = nullptr;
+    std::uint64_t beats = 0;
+    Tick end = 0;
+    for (auto _ : state) {
+        if (beats++ % kStreamBeats == 0) {
+            state.PauseTiming();
+            machine = nullptr;
+            machine = std::make_unique<node::Node>(machines::powerManna());
+            machine->reset();
+            proc = &machine->proc(0);
+            state.ResumeTiming();
+        }
+        proc->pioBeat();
+        end = proc->time();
+        if (withFloor)
+            machine->bus().setTimeFloor(end);
+    }
+    benchmark::DoNotOptimize(end);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NodeBusPioStream)->Arg(0)->Arg(1);
 
 void
 BM_Crc32Words(benchmark::State &state)

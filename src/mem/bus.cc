@@ -79,6 +79,9 @@ NodeBus::acquirePath(Resource &a, Resource &b, Tick at, Tick ticks)
 void
 NodeBus::setTimeFloor(Tick floor)
 {
+    if (floor <= _floor)
+        return;
+    _floor = floor;
     _addrPhase.pruneBelow(floor);
     _sharedData.pruneBelow(floor);
     for (auto &p : _cpuPorts)
@@ -87,6 +90,17 @@ NodeBus::setTimeFloor(Tick floor)
     _ioPort.pruneBelow(floor);
     _dram.pruneBelow(floor);
     _dirBanks.pruneBelow(floor);
+}
+
+std::size_t
+NodeBus::intervals() const
+{
+    std::size_t total = _addrPhase.intervals() + _sharedData.intervals() +
+                        _memPort.intervals() + _ioPort.intervals() +
+                        _dram.intervals() + _dirBanks.intervals();
+    for (const auto &p : _cpuPorts)
+        total += p.intervals();
+    return total;
 }
 
 std::uint64_t
@@ -212,6 +226,10 @@ NodeBus::resolve(const BusReq &req, Tick now, const ProbeOutcome &po)
 BusResult
 NodeBus::request(const BusReq &req, Tick now)
 {
+    pm_assert(now >= _floor, "bus %s: request at tick %llu below the "
+              "time floor %llu", _bp.name.c_str(),
+              static_cast<unsigned long long>(now),
+              static_cast<unsigned long long>(_floor));
     ++transactions;
     BusResult res;
 
@@ -326,6 +344,10 @@ NodeBus::request(const BusReq &req, Tick now)
 Tick
 NodeBus::pioBeat(int srcCpu, Tick now)
 {
+    pm_assert(now >= _floor, "bus %s: PIO beat at tick %llu below the "
+              "time floor %llu", _bp.name.c_str(),
+              static_cast<unsigned long long>(now),
+              static_cast<unsigned long long>(_floor));
     ++pioBeats;
     // Uncached single-beat transfers are not snooped: they hold the
     // serialized address path for one cycle only, not the full
@@ -349,6 +371,7 @@ NodeBus::pioBeat(int srcCpu, Tick now)
 void
 NodeBus::resetTiming()
 {
+    _floor = 0;
     _addrPhase.reset();
     _sharedData.reset();
     for (auto &p : _cpuPorts)

@@ -114,19 +114,26 @@ class NodeBus : public BusTarget
 
     const BusParams &params() const { return _bp; }
 
-    /** BusTarget: perform one coherent transaction. */
+    /**
+     * BusTarget: perform one coherent transaction. `now` must not be
+     * below the time floor.
+     */
     BusResult request(const BusReq &req, Tick now) override;
 
     /**
      * Time one uncached single-beat PIO transfer (CPU <-> I/O port),
      * e.g. a 64-bit store into a link-interface FIFO. Uses an address
      * phase (single-beat transfers arbitrate like any master) plus one
-     * data-path beat between the CPU port and the I/O port.
+     * data-path beat between the CPU port and the I/O port. `now` must
+     * not be below the time floor.
      * @return Completion time.
      */
     Tick pioBeat(int srcCpu, Tick now);
 
-    /** Reset all resource calendars (between experiment runs). */
+    /**
+     * Reset all resource calendars and the time floor (between
+     * experiment runs).
+     */
     void resetTiming();
 
     /**
@@ -138,10 +145,17 @@ class NodeBus : public BusTarget
 
     /**
      * Inform the bus that no future request can arrive before `floor`
-     * (the scheduler's minimum processor time); old calendar intervals
-     * are pruned.
+     * (cpu::runJobs' minimum processor time, or the message layer's
+     * msg::System::timeFloor); calendar intervals that end at or
+     * before it are pruned. The floor never goes down: a lower value
+     * is ignored. It is checked, not trusted: request() and pioBeat()
+     * panic on an arrival below it, which would otherwise land in a
+     * gap whose busy intervals were pruned.
      */
     void setTimeFloor(Tick floor);
+
+    /** Live intervals over all calendars (tests and reporting). */
+    std::size_t intervals() const;
 
     /**
      * Sharer bit-vector the directory tracks for the line holding
@@ -186,6 +200,7 @@ class NodeBus : public BusTarget
     Tick _dirLookupTicks; //!< One banked directory lookup.
     Tick _lineDataTicks; //!< Data-phase beats for one full line.
     Tick _beatTicks; //!< One data beat.
+    Tick _floor = 0; //!< No request arrives before this tick.
 
     Resource _addrPhase; //!< Serialized snooped address phase.
     Resource _sharedData; //!< Used when !pointToPointData.

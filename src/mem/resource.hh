@@ -25,11 +25,14 @@
  * arrival, walks forward to the first gap that holds it, and inserts
  * there.
  *
- * Only cpu::runJobs sets a time floor (the minimum local time over
- * its processors, through NodeBus::setTimeFloor); intervals that end
- * at or before it can never be asked about again and are erased from
- * the front. Nothing else prunes: on the PIO/message path a calendar
- * grows by one interval per beat until NodeBus::resetTiming.
+ * Both schedulers set a time floor through NodeBus::setTimeFloor:
+ * cpu::runJobs the minimum local time over its processors, and the
+ * message layer (msg::System::timeFloor) the earliest tick at which
+ * an endpoint on the node can still issue. Intervals that end at or
+ * before the floor can never be asked about again and are erased from
+ * the front, so on the PIO/message path a calendar holds only the
+ * beats still ahead of the driver's engine. The bus checks that no
+ * request arrives below its floor.
  */
 
 #ifndef PM_MEM_RESOURCE_HH
@@ -132,18 +135,29 @@ class Resource
     /** Latest reserved endpoint (0 when idle); reporting/tests only. */
     Tick freeAt() const { return _busy.empty() ? 0 : _busy.back().end; }
 
-    /** Number of live calendar intervals (tests). */
+    /** Number of live calendar intervals (tests and reporting). */
     std::size_t intervals() const { return _busy.size(); }
 
-    /** Drop all intervals that end at or before `floor`. */
+    /**
+     * Drop all intervals that end at or before `floor`. It runs at
+     * every message-engine wake-up, where usually nothing or
+     * everything is dead, so both of those return without a search.
+     */
     void
     pruneBelow(Tick floor)
     {
+        if (_busy.empty() || _busy.front().end > floor)
+            return;
+        if (_busy.back().end <= floor) {
+            _busy.clear();
+            return;
+        }
+        // Disjoint intervals are sorted by end too.
         const auto firstLive =
-            std::find_if(_busy.begin(), _busy.end(),
-                         [floor](const Interval &iv) {
-                             return iv.end > floor;
-                         });
+            std::partition_point(_busy.begin(), _busy.end(),
+                                 [floor](const Interval &iv) {
+                                     return iv.end <= floor;
+                                 });
         _busy.erase(_busy.begin(), firstLive);
     }
 
@@ -213,6 +227,16 @@ class BankedResource
     {
         for (auto &b : _banks)
             b.pruneBelow(floor);
+    }
+
+    /** Live intervals over all banks (tests and reporting). */
+    std::size_t
+    intervals() const
+    {
+        std::size_t total = 0;
+        for (const auto &b : _banks)
+            total += b.intervals();
+        return total;
     }
 
     double

@@ -844,6 +844,7 @@ void
 PmComm::engine()
 {
     _proc.advanceTo(_queue.now());
+    _proc.bus()->setTimeFloor(_sys.timeFloor(_nodeId));
 
     // Receive first: the paper's driver empties the receive FIFO
     // between send bursts so the incoming link never backs up into the

@@ -1,5 +1,7 @@
 #include "msg/system.hh"
 
+#include <algorithm>
+
 #include "msg/driver.hh"
 #include "sim/fault.hh"
 #include "sim/logging.hh"
@@ -64,6 +66,16 @@ System::quiet() const
         if (!endpoint->quiescent())
             return false;
     return _fabric->wireQuiet();
+}
+
+Tick
+System::timeFloor(unsigned nodeId) const
+{
+    Tick floor = _queue.now();
+    for (PmComm *endpoint : _endpoints)
+        if (endpoint->nodeId() == nodeId)
+            floor = std::min(floor, endpoint->proc().time());
+    return floor;
 }
 
 bool

@@ -109,6 +109,19 @@ class System
     [[nodiscard]] bool quiet() const;
 
     /**
+     * The earliest tick at which an attached endpoint on node `nodeId`
+     * can still issue on the node bus: the minimum of queue().now()
+     * and those endpoints' processor clocks. An endpoint issues from
+     * its engine, which first brings its processor up to now(), or
+     * from postRecv()'s stash path at its processor's clock; an
+     * endpoint attached later first issues from an engine run at or
+     * after now(). A processor with no endpoint is not counted: it
+     * must not issue below this floor. PmComm's engine sets it as its
+     * node bus's time floor, which the bus checks.
+     */
+    [[nodiscard]] Tick timeFloor(unsigned nodeId) const;
+
+    /**
      * End a run on a quiet, audited machine: step the queue until
      * quiet(), then auditQuiescent(where). The last messages' ACK
      * handshakes are still in flight when a run's own condition is

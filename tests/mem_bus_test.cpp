@@ -194,6 +194,25 @@ TEST(NodeBus, ResetTimingClearsCalendars)
     EXPECT_EQ(t, fresh.bus->pioBeat(0, 0));
 }
 
+TEST(NodeBus, ArrivalBelowTheTimeFloorPanics)
+{
+    // Intervals below the floor are pruned, so an arrival there would
+    // see a free gap that was busy: the bus refuses it.
+    TwoCpuNode n;
+    n.bus->setTimeFloor(1000);
+    EXPECT_DEATH(n.bus->request(BusReq{0x1000, TxType::ReadShared, 0}, 999),
+                 "request at tick 999 below the time floor 1000");
+    EXPECT_DEATH(n.bus->pioBeat(0, 999),
+                 "PIO beat at tick 999 below the time floor 1000");
+    // The floor never goes down.
+    n.bus->setTimeFloor(500);
+    EXPECT_DEATH(n.bus->pioBeat(0, 999), "below the time floor 1000");
+    // resetTiming() clears it with the calendars.
+    n.bus->resetTiming();
+    TwoCpuNode fresh;
+    EXPECT_EQ(n.bus->pioBeat(0, 0), fresh.bus->pioBeat(0, 0));
+}
+
 TEST(NodeBus, MissLatencyHasExpectedMagnitude)
 {
     // PowerMANNA-like numbers: a clean DRAM miss should land in the

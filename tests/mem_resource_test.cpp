@@ -5,9 +5,9 @@
  * timing model insensitive to scheduler chunk size — and a
  * differential test of the flat calendar against the std::map
  * calendar it replaced, on seeded random operation streams shaped
- * like the simulator's (PIO tail appends, chunked multi-CPU backfill
- * under a rising time floor, joint acquisitions, zero durations and
- * resets).
+ * like the simulator's (PIO tail appends, the message path's floor,
+ * chunked multi-CPU backfill under a rising time floor, joint
+ * acquisitions, zero durations and resets).
  */
 
 #include <gtest/gtest.h>
@@ -378,9 +378,9 @@ constexpr std::uint64_t kSeeds = 8;
 
 TEST(CalendarDiff, PioTailAppendsMatchMapOracle)
 {
-    // One CPU driving PIO beats and nothing pruning, as on the message
-    // path: an address slot, then the port pair, then the next beat
-    // at or just after the last one's end. The calendars only grow.
+    // One CPU driving PIO beats and nothing pruning: an address slot,
+    // then the port pair, then the next beat at or just after the last
+    // one's end. The calendars only grow.
     for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
         SplitMix64 rng(seed);
         Twin addr, port, io;
@@ -404,6 +404,81 @@ TEST(CalendarDiff, PioTailAppendsMatchMapOracle)
                 now += rng.below(200);
         }
         EXPECT_EQ(addr.flat.intervals(), 4000u);
+    }
+}
+
+TEST(CalendarDiff, MessagePathFloorMatchesMapOracle)
+{
+    // The message layer: a driver streams PIO beats at the tail, now
+    // and then a payload load's fill lands on its port ahead of the
+    // tail (later beats backfill behind it), and every engine run
+    // prunes all calendars at a rising floor. The floor stays put
+    // (nothing dead), passes every interval (all dead), or stops at
+    // the exact end of a beat in between (a search for the cut).
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        SplitMix64 rng(seed);
+        Twin addr, port, io;
+        Twin *const calendars[] = {&addr, &port, &io};
+        unsigned noneDead = 0;
+        unsigned allDead = 0;
+        unsigned someDead = 0;
+        std::vector<Tick> beatEnds;
+        Tick now = 0;
+        Tick floor = 0;
+        for (int burst = 0; burst < 600; ++burst) {
+            beatEnds.clear();
+            const auto beats = 1 + rng.below(24);
+            for (std::uint64_t i = 0; i < beats; ++i) {
+                const Tick addrTicks = 1 + rng.below(4);
+                const Tick beatTicks = 8 + rng.below(24);
+                Tick a = 0;
+                Tick d = 0;
+                ASSERT_TRUE(acquireBoth(addr, now, addrTicks, a))
+                    << "seed " << seed << " burst " << burst;
+                ASSERT_TRUE(acquirePairBoth(port, io, a + addrTicks,
+                                            beatTicks, d))
+                    << "seed " << seed << " burst " << burst;
+                now = d + beatTicks;
+                beatEnds.push_back(now);
+                if (rng.chance(0.05)) {
+                    Tick f = 0;
+                    ASSERT_TRUE(acquireBoth(port, now + 50 + rng.below(200),
+                                            4 * beatTicks, f))
+                        << "seed " << seed << " burst " << burst;
+                }
+            }
+            switch (rng.below(4)) {
+              case 0:
+                break;
+              case 1:
+                for (const Twin *t : calendars)
+                    floor = std::max(floor, t->flat.freeAt());
+                break;
+              default:
+                floor = std::max(floor,
+                                 beatEnds[rng.below(beatEnds.size())]);
+                break;
+            }
+            for (Twin *t : calendars) {
+                const std::size_t before = t->flat.intervals();
+                ASSERT_TRUE(t->pruneBelow(floor))
+                    << "seed " << seed << " burst " << burst;
+                const std::size_t after = t->flat.intervals();
+                if (before == 0)
+                    continue;
+                if (after == before)
+                    ++noneDead;
+                else if (after == 0)
+                    ++allDead;
+                else
+                    ++someDead;
+            }
+            // Nothing arrives below the floor.
+            now = std::max(now, floor);
+        }
+        EXPECT_GT(noneDead, 0u) << "seed " << seed;
+        EXPECT_GT(allDead, 0u) << "seed " << seed;
+        EXPECT_GT(someDead, 0u) << "seed " << seed;
     }
 }
 

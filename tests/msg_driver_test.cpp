@@ -289,6 +289,18 @@ TEST(Probes, UnidirectionalBandwidthIsWireLimited)
     EXPECT_LE(bw, 61.0); // never exceeds the 60 MB/s wire
 }
 
+TEST(Probes, StreamLeavesTheBusCalendarsBounded)
+{
+    // Every engine run sets its node bus's time floor, so a long
+    // stream leaves only the beats still ahead of the drivers on the
+    // calendars, not one interval per beat.
+    System sys(smallSystem(8));
+    measureUnidirectionalMBps(sys, 0, 1, 65536, 8);
+    const std::size_t bound = 3 * sys.params().fabric.ni.fifoWords;
+    EXPECT_LT(sys.node(0).bus().intervals(), bound);
+    EXPECT_LT(sys.node(1).bus().intervals(), bound);
+}
+
 TEST(Probes, BidirectionalIsBetweenOneAndTwoLinks)
 {
     System sys(smallSystem(2));

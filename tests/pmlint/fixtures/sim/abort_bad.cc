@@ -1,6 +1,6 @@
 // pmlint fixture: R3d no-raw-abort violations — terminating the
-// process directly skips the panic path's tick print and forensic
-// dump hooks. Never compiled; scanned by the golden test.
+// process directly skips the panic path's tick print and the
+// System's forensic dump. Never compiled; scanned by the golden test.
 #include <cstdlib>
 
 namespace pm {

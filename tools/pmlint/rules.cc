@@ -365,7 +365,7 @@ void
 checkRawAbort(const SourceFile &f, Diags &out)
 {
     // The one sanctioned termination point: pm_panic/pm_fatal land
-    // here after printing the tick and running the dump hooks.
+    // here after printing the tick and the System's forensic dump.
     if (f.relPath == "sim/logging.cc")
         return;
     static const std::set<std::string> kTerminators = {
@@ -401,7 +401,7 @@ checkRawAbort(const SourceFile &f, Diags &out)
         }
         emit(out, f, t.line, t.col, "no-raw-abort",
              "raw '" + t.text + "' dies without the simulation tick or "
-             "the forensic dump hooks; use pm_panic/pm_fatal "
+             "the System's forensic dump; use pm_panic/pm_fatal "
              "(sim/logging.hh) or annotate "
              "'// pmlint: abort-ok(<reason>)'");
     }
