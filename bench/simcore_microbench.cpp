@@ -239,6 +239,36 @@ BM_CacheBuildAndReset(benchmark::State &state)
 }
 BENCHMARK(BM_CacheBuildAndReset)->DenseRange(0, 3);
 
+/**
+ * A peer snoop into one processor's PowerMANNA L2 (2 MB, direct-mapped)
+ * under its 32 KB L1, whose every line both levels hold. With
+ * `range(0)` 0 each snoop names a line of an occupied L2 set that the
+ * L2 does not hold, as most peer probes of the node benches do; with 1
+ * it names a held line and demotes it, non-exclusively, in both levels.
+ */
+void
+BM_CacheSnoop(benchmark::State &state)
+{
+    const node::NodeParams cfg = machines::powerManna();
+    NullBus bus;
+    mem::Cache l2(cfg.l2, &bus);
+    mem::Cache l1(cfg.l1, &l2);
+    const Addr line = cfg.l1.lineSize;
+    const Addr lines = cfg.l1.sizeBytes / line;
+    Tick t = 0;
+    for (Addr i = 0; i < lines; ++i)
+        t = l1.access(mem::MemReq{i * line, false, 0}, t).done;
+    // An L2-sized offset keeps the set and changes the tag.
+    const Addr base = state.range(0) != 0 ? 0 : cfg.l2.sizeBytes;
+    Addr i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(l2.snoop(base + i * line, false));
+        i = i + 1 == lines ? 0 : i + 1;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheSnoop)->Arg(0)->Arg(1);
+
 void
 BM_ResourceCalendarAcquire(benchmark::State &state)
 {
@@ -253,35 +283,6 @@ BM_ResourceCalendarAcquire(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ResourceCalendarAcquire);
-
-/**
- * A calendar nothing prunes: one CPU appends beat after beat, so the
- * calendar grows until `range(0)` intervals, then is reset (untimed)
- * and filled again. The reset keeps the vector's capacity, so only
- * the first fill pays for its growth. Every request lands at the
- * tail, a few of them just before its end.
- */
-void
-BM_ResourceCalendarTailGrowth(benchmark::State &state)
-{
-    const auto limit = static_cast<std::size_t>(state.range(0));
-    mem::Resource r;
-    sim::SplitMix64 rng(1);
-    Tick now = 0;
-    for (auto _ : state) {
-        const Tick start = r.acquire(now, 40);
-        benchmark::DoNotOptimize(start);
-        now = start + 40 - (rng.below(4) == 0 ? 10 : 0);
-        if (r.intervals() == limit) {
-            state.PauseTiming();
-            r.reset();
-            now = 0;
-            state.ResumeTiming();
-        }
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ResourceCalendarTailGrowth)->Arg(100000)->Arg(1000000);
 
 /**
  * cpu::runJobs on a shared bus: `range(0)` CPUs, the one with the

@@ -76,10 +76,14 @@ Cache::Cache(const CacheParams &params, Cache *below) : Cache(params)
 {
     if (!below)
         pm_fatal("cache %s: null lower level", _p.name.c_str());
-    if (below->lineSize() < _p.lineSize)
-        pm_fatal("cache %s: lower level has smaller lines (inclusion "
-                 "requires lower lineSize >= upper lineSize)",
-                 _p.name.c_str());
+    if (below->lineSize() != _p.lineSize)
+        pm_fatal("cache %s: lower level has %u-byte lines, not %u (both "
+                 "levels share one line size)",
+                 _p.name.c_str(), below->lineSize(), _p.lineSize);
+    if (below->_below)
+        pm_fatal("cache %s: lower level %s has a level below it "
+                 "(hierarchies have two levels)",
+                 _p.name.c_str(), below->params().name.c_str());
     if (below->params().coherence != _p.coherence)
         pm_fatal("cache %s: hierarchy levels must speak one protocol",
                  _p.name.c_str());
@@ -161,16 +165,6 @@ Cache::lineState(Addr addr) const
 }
 
 void
-Cache::promoteToModified(Addr lineAddr)
-{
-    Line *line = findLine(lineAddr);
-    if (line)
-        line->state = MesiState::Modified;
-    if (_below)
-        _below->promoteToModified(_below->lineAlign(lineAddr));
-}
-
-void
 Cache::invalidateLine(Addr lineAddr)
 {
     if (_upper)
@@ -193,27 +187,20 @@ Cache::evict(Line &line, int srcCpu, Tick t)
     ++evictions;
     const Addr victimAddr = line.tag;
     // Inclusion: the level above must not keep a line this level drops.
-    if (_upper) {
-        // The upper cache may hold a fresher (Modified) copy; fold its
-        // ownership down before invalidating so a dirty line is not lost.
-        SnoopResult up = _upper->snoop(victimAddr, /*exclusive=*/true);
-        if (up.dirtySupplied)
-            line.state = MesiState::Modified;
-    }
+    // A Modified copy there is Modified here too, so its answer adds
+    // nothing.
+    if (_upper)
+        _upper->snoop(victimAddr, /*exclusive=*/true);
     if (line.state == MesiState::Modified) {
         ++writebacks;
-        if (_below) {
-            // Absorbed by the inclusive lower level; its copy becomes
-            // Modified. Timing: hidden behind the lower level's write
-            // buffer, so no stall is charged here.
-            _below->promoteToModified(_below->lineAlign(victimAddr));
-        } else {
-            // Last level: put the line on the bus. The fill that
-            // triggered this eviction serializes with the writeback on
-            // the shared address phase naturally.
+        // An upper level's dirty victim is Modified below already, and
+        // the lower level's write buffer hides it: no stall is charged.
+        // The last level puts the line on the bus; the fill that
+        // triggered this eviction serializes with the writeback on the
+        // shared address phase naturally.
+        if (_bus)
             _bus->request(
                 BusReq{victimAddr, TxType::Writeback, srcCpu}, t);
-        }
     }
     clearValid(&line);
 }
@@ -266,13 +253,12 @@ Cache::upgradeLine(Addr lineAddr, int srcCpu, Tick t)
 {
     ++upgrades;
     if (_below) {
-        const Addr lowAddr = _below->lineAlign(lineAddr);
-        const MesiState lowState = _below->lineState(lowAddr);
-        if (lowState == MesiState::Exclusive ||
-            lowState == MesiState::Modified) {
-            // Ownership already on this node; grant after one lower-
-            // level lookup.
-            _below->promoteToModified(lowAddr);
+        // Inclusion: the lower level holds the line.
+        Line &low = *_below->findLine(lineAddr);
+        if (low.state != MesiState::Shared) {
+            // Ownership (E or M) already on this node; grant after one
+            // lower-level lookup.
+            low.state = MesiState::Modified;
             return t + _below->_hitLatency;
         }
         // Lower level is Shared too: it performs the bus upgrade.
@@ -306,15 +292,14 @@ Cache::access(const MemReq &req, Tick now)
             // Silent E -> M: no peer holds a copy.
             ++hits;
             line->state = MesiState::Modified;
-            // Record dirty ownership below so remote snoops that only
-            // reach the lower level report it.
+            // A Modified line is Modified below too, so the lower
+            // level answers snoops for both.
             if (_below)
-                _below->promoteToModified(_below->lineAlign(lineAddr));
+                _below->findLine(lineAddr)->state = MesiState::Modified;
             return AccessResult{t, MesiState::Modified, true};
           case MesiState::Shared: {
+            // An upgrade probes only peers, so `line` stays put.
             const Tick done = upgradeLine(lineAddr, req.srcCpu, t);
-            line = findLine(lineAddr); // may have moved? (no, same slot)
-            pm_assert(line != nullptr);
             line->state = MesiState::Modified;
             // An upgrade crossed (or may have crossed) the bus: report
             // it as bus traffic so the core applies miss semantics.
@@ -332,23 +317,17 @@ Cache::access(const MemReq &req, Tick now)
 SnoopResult
 Cache::snoop(Addr lineAddr, bool exclusive)
 {
-    SnoopResult res;
-    if (_upper) {
-        // Snoop each upper-level line covered by this (>=) line.
-        for (Addr a = lineAddr; a < lineAddr + _p.lineSize;
-             a += _upper->lineSize()) {
-            SnoopResult up = _upper->snoop(a, exclusive);
-            res.present |= up.present;
-            res.dirtySupplied |= up.dirtySupplied;
-        }
-    }
-
     Line *line = findLine(lineAddr);
     if (!line)
-        return res;
+        return {}; // Inclusion: the level above lacks it too.
+    // The level above reacts alike. Its answer adds nothing: a line
+    // Modified there is Modified here.
+    if (_upper)
+        _upper->snoop(lineAddr, exclusive);
 
     // Modified data is supplied; an exclusive snoop kills the line, any
     // other demotes it to Shared (an M or E line counts a downgrade).
+    SnoopResult res;
     if (line->state == MesiState::Modified) {
         res.dirtySupplied = true;
         ++interventions;

@@ -4,9 +4,18 @@
  *
  * Caches form private two-level hierarchies per processor (L1 -> L2);
  * the L2 talks to the node bus (BusTarget), which reaches every other
- * processor's L2 by snooping or through its directory. Hierarchies are
- * inclusive: a line present in L1 is present in its L2, so snoops
- * delivered to the L2 recurse upward.
+ * processor's L2 by snooping or through its directory. The code relies
+ * on three invariants of a hierarchy (DESIGN.md §14):
+ *
+ *  - Two levels, one line size: the upper-level constructor rejects a
+ *    lower level with other lines or with a level of its own below, so
+ *    a line address names the same line in both levels.
+ *  - Inclusion: a line the L2 does not hold is not in its L1. A snoop
+ *    that misses the L2 ends there; one that hits it reaches the L1.
+ *  - A Modified L1 line is Modified in its L2: every store that makes
+ *    an L1 line Modified makes its L2 line Modified too. The L2 alone
+ *    therefore answers snoops, and an evicted dirty L1 line needs no
+ *    further bookkeeping below.
  *
  * The model tracks line *state*, not data contents: the quantities the
  * paper measures (hit rates, line-length effects, snoop serialization,
@@ -109,8 +118,9 @@ class Cache
     AccessResult access(const MemReq &req, Tick now);
 
     /**
-     * Deliver a snoop from the bus (or from the cache below).
-     * Recursively snoops the level above (inclusive hierarchy).
+     * Deliver a snoop from the bus (or from the cache below). A line
+     * this level holds is snooped in the level above too; the answer
+     * is this level's own, which covers the level above.
      * @param lineAddr Line-aligned address.
      * @param exclusive Requester wants exclusive ownership: invalidate.
      */
@@ -118,13 +128,6 @@ class Cache
 
     /** Current state of the line containing `addr` (Invalid if absent). */
     MesiState lineState(Addr addr) const;
-
-    /**
-     * Functional ownership promotion (no timing): used when the level
-     * above transitions E -> M silently so that snoop responses from
-     * this level report dirty ownership correctly.
-     */
-    void promoteToModified(Addr lineAddr);
 
     /** Invalidate one line functionally (back-invalidation). */
     void invalidateLine(Addr lineAddr);

@@ -435,6 +435,31 @@ TEST(CacheGeometry, RejectsSetCountNotAPowerOfTwo)
                            "set count 48 is not a power of two");
 }
 
+/**
+ * mem::Cache relies on a two-level hierarchy with one line size: a
+ * snoop passes its line to the level above unchanged, and no level
+ * forwards a promotion further down.
+ */
+TEST(CacheGeometry, RejectsALowerLevelWithOtherLines)
+{
+    StubBus bus;
+    CacheParams l2p = smallCache(8, 2, 64);
+    l2p.name = "test_l2";
+    Cache l2(l2p, &bus);
+    EXPECT_EXIT(Cache(smallCache(1, 2, 32), &l2),
+                ::testing::ExitedWithCode(1),
+                "lower level has 64-byte lines, not 32");
+}
+
+TEST(CacheGeometry, RejectsAThirdLevel)
+{
+    TwoLevel h;
+    CacheParams l0p = smallCache(1, 2, 64);
+    l0p.name = "test_l0";
+    EXPECT_EXIT(Cache(l0p, &h.l1), ::testing::ExitedWithCode(1),
+                "lower level test_l1 has a level below it");
+}
+
 // ---- Seeded streams: reset and direct-mapped caches. ------------------
 
 /** One step of a seeded stream driven into a lone cache. */

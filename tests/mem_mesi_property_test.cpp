@@ -9,6 +9,11 @@
  *  I3. Inclusion: a line valid in an L1 is valid in its L2.
  *  I4. A timed access completes no earlier than it was issued.
  *  I5. (MSI only) No cache ever holds a line Exclusive.
+ *  I6. A line Modified in an L1 is Modified in its L2.
+ *
+ * mem::Cache relies on I3 and I6 rather than checking them: a snoop
+ * that misses an L2 skips its L1, and the L2 alone answers for dirty
+ * data, on eviction as on a snoop.
  *
  * The original MESI suite is parameterized over (seed, processor
  * count); the policy-matrix suite additionally sweeps coherence
@@ -80,7 +85,7 @@ struct TestNode
 
 /**
  * Drive `node` through a seeded random access interleaving, asserting
- * I1-I4 after every access (and I5 when `forbidExclusive`).
+ * I1-I4 and I6 after every access (and I5 when `forbidExclusive`).
  */
 void
 runRandomWalk(TestNode &node, unsigned seed, unsigned numCpus,
@@ -109,7 +114,7 @@ runRandomWalk(TestNode &node, unsigned seed, unsigned numCpus,
         ASSERT_GE(r.done, t) << "I4 violated at step " << step;
         t += 1 + rng.below(2000);
 
-        // Check I1-I3 (and I5) on every line of the pool.
+        // Check I1-I3, I6 (and I5) on every line of the pool.
         for (Addr line : pool) {
             unsigned owners = 0; // hierarchies holding M or E
             unsigned sharers = 0; // hierarchies holding S
@@ -121,6 +126,13 @@ runRandomWalk(TestNode &node, unsigned seed, unsigned numCpus,
                     ASSERT_NE(s2, MesiState::Invalid)
                         << "I3 violated: line " << std::hex << line
                         << " valid in L1 but not L2 of cpu " << c
+                        << " at step " << std::dec << step;
+                }
+                // I6: dirty ownership is recorded in the L2.
+                if (s1 == MesiState::Modified) {
+                    ASSERT_EQ(s2, MesiState::Modified)
+                        << "I6 violated: line " << std::hex << line
+                        << " Modified in L1 but not L2 of cpu " << c
                         << " at step " << std::dec << step;
                 }
                 if (forbidExclusive) {
