@@ -287,14 +287,15 @@ BENCHMARK(BM_ResourceCalendarAcquire);
 /**
  * cpu::runJobs on a shared bus: `range(0)` CPUs, the one with the
  * smallest local time prunes every calendar at that floor and then
- * runs a chunk of 32 accesses ahead (address phase, then a DRAM bank);
- * the others backfill behind it. One item is one access.
+ * runs a chunk of `range(1)` accesses ahead (address phase, then a DRAM
+ * bank); the others backfill behind it. {2, 4096} is the HINT shape:
+ * one slice covers 4,096 records. One item is one access.
  */
 void
 BM_ResourceCalendarChunkedBackfill(benchmark::State &state)
 {
     const auto cpus = static_cast<std::size_t>(state.range(0));
-    constexpr unsigned kChunk = 32;
+    const auto chunk = static_cast<unsigned>(state.range(1));
     mem::Resource addr;
     mem::BankedResource dram("dram", 4);
     sim::SplitMix64 rng(1);
@@ -304,16 +305,19 @@ BM_ResourceCalendarChunkedBackfill(benchmark::State &state)
             std::min_element(local.begin(), local.end()) - local.begin());
         addr.pruneBelow(local[cpu]);
         dram.pruneBelow(local[cpu]);
-        for (unsigned i = 0; i < kChunk; ++i) {
+        for (unsigned i = 0; i < chunk; ++i) {
             const Tick a = addr.acquire(local[cpu], 20);
             const Tick d = dram.acquire(
                 static_cast<unsigned>(rng.below(4)), a + 20, 60);
             local[cpu] = d + 60 + rng.below(200);
         }
     }
-    state.SetItemsProcessed(state.iterations() * kChunk);
+    state.SetItemsProcessed(state.iterations() * chunk);
 }
-BENCHMARK(BM_ResourceCalendarChunkedBackfill)->Arg(2)->Arg(8);
+BENCHMARK(BM_ResourceCalendarChunkedBackfill)
+    ->Args({2, 32})
+    ->Args({8, 32})
+    ->Args({2, 4096});
 
 /**
  * The message path's PIO stream on one PowerMANNA node: processor 0

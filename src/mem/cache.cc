@@ -84,6 +84,11 @@ Cache::Cache(const CacheParams &params, Cache *below) : Cache(params)
         pm_fatal("cache %s: lower level %s has a level below it "
                  "(hierarchies have two levels)",
                  _p.name.c_str(), below->params().name.c_str());
+    if (below->_upper)
+        pm_fatal("cache %s: lower level %s already has upper level %s "
+                 "(each lower level serves one)",
+                 _p.name.c_str(), below->params().name.c_str(),
+                 below->_upper->params().name.c_str());
     if (below->params().coherence != _p.coherence)
         pm_fatal("cache %s: hierarchy levels must speak one protocol",
                  _p.name.c_str());

@@ -8,8 +8,9 @@
  * on three invariants of a hierarchy (DESIGN.md §14):
  *
  *  - Two levels, one line size: the upper-level constructor rejects a
- *    lower level with other lines or with a level of its own below, so
- *    a line address names the same line in both levels.
+ *    lower level with other lines, with a level of its own below or
+ *    with an upper level already, so a line address names the same
+ *    line in both levels and an L2 has at most one L1.
  *  - Inclusion: a line the L2 does not hold is not in its L1. A snoop
  *    that misses the L2 ends there; one that hits it reaches the L1.
  *  - A Modified L1 line is Modified in its L2: every store that makes

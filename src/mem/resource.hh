@@ -16,14 +16,33 @@
  * after its arrival time, which makes the model insensitive to the
  * scheduling chunk size.
  *
- * The calendar is flat: a vector of intervals sorted by start. Being
- * disjoint, they are sorted by end too, so the last interval ends
- * last. Almost every request arrives at or past that end (a CPU
- * driving PIO beats asks again where its previous beat ended) and
- * takes the fast path: a constant-time fit and a push_back. A
- * backfill binary-searches the first interval starting after its
- * arrival, walks forward to the first gap that holds it, and inserts
- * there.
+ * Under cpu::runJobs that shape is the rule on every calendar a node's
+ * processors share (the address phase, the memory port, the DRAM
+ * banks): the processor furthest behind runs a whole step (a HINT
+ * slice is 4,096 records), so it leads and reserves far ahead; the
+ * next one then backfills behind it, arrival after rising arrival,
+ * through the leader's intervals. A calendar kept as one sorted vector
+ * made each of those inserts shift every interval ahead of it, so a
+ * step cost the square of its length.
+ *
+ * So the calendar has a cursor. The intervals before it sit in
+ * `_before`, ascending; those after it sit in `_after`, descending, so
+ * the nearest one is at its back. Being disjoint, the intervals are
+ * sorted by end too. A request scans from the cursor to the first
+ * interval that starts after its arrival, walks forward over the
+ * intervals that leave no gap for it (the same walk the map calendar
+ * made), and moves the cursor to the gap it found, carrying the
+ * intervals in between from one vector to the other; the reservation
+ * is then pushed at the cursor. A backfilling processor therefore pays
+ * for the distance from one of its slots to the next, not for the
+ * calendar's length, and no request searches.
+ *
+ * While nothing lies after the cursor, the calendar is one ascending
+ * vector, and a request at or past its last end (a CPU driving PIO
+ * beats asks again where its previous beat ended) fits at once and is
+ * appended. That test and the prune's are the inline fast paths; the
+ * scan and the prune across the cursor are out of line, so the message
+ * path does not pay for them.
  *
  * Both schedulers set a time floor through NodeBus::setTimeFloor:
  * cpu::runJobs the minimum local time over its processors, and the
@@ -57,37 +76,14 @@ class Resource
 
     /**
      * Earliest start time >= `at` at which `duration` ticks fit into
-     * an idle gap. Does not reserve.
+     * an idle gap. Does not reserve; moves the cursor to that slot.
      */
     Tick
-    earliestFit(Tick at, Tick duration) const
+    earliestFit(Tick at, Tick duration)
     {
-        if (_busy.empty() || at >= _busy.back().end)
+        if (_after.empty() && (_before.empty() || at >= _before.back().end))
             return at;
-        Tick cand = at;
-        auto it = firstStartingAfter(cand);
-        if (it != _busy.begin() && std::prev(it)->end > cand)
-            cand = std::prev(it)->end;
-        while (it != _busy.end() && it->start < cand + duration) {
-            cand = it->end;
-            ++it;
-        }
-        return cand;
-    }
-
-    /** Mark [start, start+duration) busy. The caller must have used
-     *  earliestFit (the interval must be idle). */
-    void
-    reserve(Tick start, Tick duration)
-    {
-        if (duration == 0)
-            return;
-        const Interval slot{start, start + duration};
-        if (_busy.empty() || start >= _busy.back().end)
-            _busy.push_back(slot);
-        else
-            _busy.insert(firstStartingAfter(start), slot);
-        _busyTicks += static_cast<double>(duration);
+        return seekFit(at, duration);
     }
 
     /**
@@ -133,10 +129,16 @@ class Resource
     }
 
     /** Latest reserved endpoint (0 when idle); reporting/tests only. */
-    Tick freeAt() const { return _busy.empty() ? 0 : _busy.back().end; }
+    Tick
+    freeAt() const
+    {
+        if (!_after.empty())
+            return _after.front().end;
+        return _before.empty() ? 0 : _before.back().end;
+    }
 
     /** Number of live calendar intervals (tests and reporting). */
-    std::size_t intervals() const { return _busy.size(); }
+    std::size_t intervals() const { return _before.size() + _after.size(); }
 
     /**
      * Drop all intervals that end at or before `floor`. It runs at
@@ -146,19 +148,17 @@ class Resource
     void
     pruneBelow(Tick floor)
     {
-        if (_busy.empty() || _busy.front().end > floor)
-            return;
-        if (_busy.back().end <= floor) {
-            _busy.clear();
+        if (!_after.empty()) {
+            pruneAcrossCursor(floor);
             return;
         }
-        // Disjoint intervals are sorted by end too.
-        const auto firstLive =
-            std::partition_point(_busy.begin(), _busy.end(),
-                                 [floor](const Interval &iv) {
-                                     return iv.end <= floor;
-                                 });
-        _busy.erase(_busy.begin(), firstLive);
+        if (_before.empty() || _before.front().end > floor)
+            return;
+        if (_before.back().end <= floor) {
+            _before.clear();
+            return;
+        }
+        eraseDeadBefore(floor);
     }
 
     /** Total reserved service ticks (utilization numerator). */
@@ -168,7 +168,8 @@ class Resource
     void
     reset()
     {
-        _busy.clear();
+        _before.clear();
+        _after.clear();
         _busyTicks = 0.0;
     }
 
@@ -180,17 +181,88 @@ class Resource
         Tick end;
     };
 
-    /** The first interval whose start is after `t` (end() if none). */
-    std::vector<Interval>::const_iterator
-    firstStartingAfter(Tick t) const
+    /** Mark [start, start+duration) busy: the slot that earliestFit
+     *  just returned, so it goes at the cursor. */
+    void
+    reserve(Tick start, Tick duration)
     {
-        return std::upper_bound(_busy.begin(), _busy.end(), t,
-                                [](Tick v, const Interval &iv) {
-                                    return v < iv.start;
-                                });
+        if (duration == 0)
+            return;
+        _before.push_back({start, start + duration});
+        _busyTicks += static_cast<double>(duration);
     }
 
-    std::vector<Interval> _busy; //!< Disjoint, sorted by start.
+    /** earliestFit for a request that is not a plain tail append. */
+    __attribute__((noinline)) Tick
+    seekFit(Tick at, Tick duration)
+    {
+        // Find the first interval that starts after `at`: behind the
+        // cursor, or past it once the cursor has moved up to `at`.
+        auto it = _before.end();
+        while (it != _before.begin() && std::prev(it)->start > at)
+            --it;
+        if (it == _before.end()) {
+            while (!_after.empty() && _after.back().start <= at) {
+                _before.push_back(_after.back());
+                _after.pop_back();
+            }
+            it = _before.end();
+        }
+        Tick cand = at;
+        if (it != _before.begin() && std::prev(it)->end > cand)
+            cand = std::prev(it)->end;
+        // Walk forward over the intervals that leave no gap, then put
+        // the cursor at the gap.
+        while (it != _before.end() && it->start < cand + duration) {
+            cand = it->end;
+            ++it;
+        }
+        if (it != _before.end()) {
+            // The gap lies behind the cursor: carry what follows it.
+            _after.insert(_after.end(), _before.rbegin(),
+                          std::make_reverse_iterator(it));
+            _before.erase(it, _before.end());
+            return cand;
+        }
+        while (!_after.empty() && _after.back().start < cand + duration) {
+            cand = _after.back().end;
+            _before.push_back(_after.back());
+            _after.pop_back();
+        }
+        return cand;
+    }
+
+    /** pruneBelow while intervals lie after the cursor. */
+    __attribute__((noinline)) void
+    pruneAcrossCursor(Tick floor)
+    {
+        if (!_before.empty() && _before.back().end > floor) {
+            eraseDeadBefore(floor);
+            return;
+        }
+        // Everything before the cursor is dead, and `_after` ends with
+        // its earliest interval.
+        _before.clear();
+        _after.erase(std::partition_point(_after.begin(), _after.end(),
+                                          [floor](const Interval &iv) {
+                                              return iv.end > floor;
+                                          }),
+                     _after.end());
+    }
+
+    /** Erase the dead front of `_before`, whose last interval lives. */
+    void
+    eraseDeadBefore(Tick floor)
+    {
+        _before.erase(_before.begin(),
+                      std::partition_point(_before.begin(), _before.end(),
+                                           [floor](const Interval &iv) {
+                                               return iv.end <= floor;
+                                           }));
+    }
+
+    std::vector<Interval> _before; //!< Up to the cursor, by start.
+    std::vector<Interval> _after; //!< Past the cursor, latest first.
     double _busyTicks = 0.0;
 };
 

@@ -438,7 +438,9 @@ TEST(CacheGeometry, RejectsSetCountNotAPowerOfTwo)
 /**
  * mem::Cache relies on a two-level hierarchy with one line size: a
  * snoop passes its line to the level above unchanged, and no level
- * forwards a promotion further down.
+ * forwards a promotion further down. It also relies on inclusion,
+ * which a second L1 over the same L2 would break: the L2 would
+ * back-invalidate only the newer one.
  */
 TEST(CacheGeometry, RejectsALowerLevelWithOtherLines)
 {
@@ -458,6 +460,16 @@ TEST(CacheGeometry, RejectsAThirdLevel)
     l0p.name = "test_l0";
     EXPECT_EXIT(Cache(l0p, &h.l1), ::testing::ExitedWithCode(1),
                 "lower level test_l1 has a level below it");
+}
+
+TEST(CacheGeometry, RejectsASecondUpperLevel)
+{
+    TwoLevel h;
+    CacheParams other = smallCache(1, 2, 64);
+    other.name = "test_l1b";
+    EXPECT_EXIT(Cache(other, &h.l2), ::testing::ExitedWithCode(1),
+                "test_l1b: lower level test_l2 already has upper level "
+                "test_l1");
 }
 
 // ---- Seeded streams: reset and direct-mapped caches. ------------------

@@ -6,8 +6,9 @@
  * differential test of the flat calendar against the std::map
  * calendar it replaced, on seeded random operation streams shaped
  * like the simulator's (PIO tail appends, the message path's floor,
- * chunked multi-CPU backfill under a rising time floor, joint
- * acquisitions, zero durations and resets).
+ * chunked multi-CPU backfill under a rising time floor, short chunks
+ * and a HINT slice's long ones, joint acquisitions, zero durations
+ * and resets), plus unit cases for the cursor's positions.
  */
 
 #include <gtest/gtest.h>
@@ -189,6 +190,83 @@ TEST(Resource, BackfillAfterPrune)
     EXPECT_EQ(r.intervals(), 4u);
     EXPECT_EQ(r.freeAt(), 500u);
     EXPECT_EQ(r.acquire(150, 1), 500u);
+}
+
+// ---- Cursor positions. -------------------------------------------------
+//
+// A backfill leaves the cursor mid-calendar, with intervals on both
+// sides of it; the cases below start from there.
+
+TEST(Resource, TailAppendWithTheCursorMidCalendar)
+{
+    Resource r;
+    r.acquire(0, 100); // [0,100)
+    r.acquire(200, 100); // [200,300)
+    r.acquire(400, 100); // [400,500)
+    EXPECT_EQ(r.acquire(100, 50), 100u); // the cursor stops at 150
+    // Past the last end, with two intervals after the cursor.
+    EXPECT_EQ(r.acquire(600, 50), 600u);
+    EXPECT_EQ(r.intervals(), 5u);
+    EXPECT_EQ(r.freeAt(), 650u);
+    // Every gap is still found, front to back, and then none is left.
+    EXPECT_EQ(r.acquire(150, 50), 150u);
+    EXPECT_EQ(r.acquire(300, 100), 300u);
+    EXPECT_EQ(r.acquire(500, 100), 500u);
+    EXPECT_EQ(r.acquire(0, 1), 650u);
+}
+
+TEST(Resource, PruneBehindTheCursorKeepsTheStraddler)
+{
+    Resource r;
+    r.acquire(0, 100); // [0,100)
+    r.acquire(200, 100); // [200,300)
+    r.acquire(400, 100); // [400,500)
+    EXPECT_EQ(r.acquire(120, 60), 120u); // the cursor stops at 180
+    // [0,100) is dead; [120,180) straddles the floor.
+    r.pruneBelow(150);
+    EXPECT_EQ(r.intervals(), 3u);
+    EXPECT_EQ(r.acquire(150, 10), 180u);
+    EXPECT_EQ(r.acquire(150, 50), 300u);
+    EXPECT_EQ(r.freeAt(), 500u);
+}
+
+TEST(Resource, PruneAheadOfTheCursorKeepsTheStraddler)
+{
+    Resource r;
+    r.acquire(0, 100); // [0,100)
+    r.acquire(200, 100); // [200,300)
+    r.acquire(400, 100); // [400,500)
+    r.acquire(600, 100); // [600,700)
+    EXPECT_EQ(r.acquire(100, 50), 100u); // the cursor stops at 150
+    // Everything before the cursor and [200,300) after it is dead;
+    // [400,500) straddles the floor.
+    r.pruneBelow(450);
+    EXPECT_EQ(r.intervals(), 2u);
+    EXPECT_EQ(r.acquire(450, 10), 500u);
+    EXPECT_EQ(r.acquire(450, 90), 510u);
+    EXPECT_EQ(r.acquire(450, 1), 700u);
+}
+
+TEST(Resource, AcquireTogetherWithCursorsApart)
+{
+    Resource a, b;
+    a.acquire(0, 100); // a: [0,100) [150,250) [400,500)
+    a.acquire(150, 100);
+    a.acquire(400, 100);
+    b.acquire(0, 50); // b: [0,50) [300,350) [600,700)
+    b.acquire(300, 50);
+    b.acquire(600, 100);
+    // a's cursor stays at its tail; b's goes back to its front.
+    EXPECT_EQ(b.earliestFit(0, 1), 50u);
+    // a fits 100 at 250 or from 500, b at 50 to 200 or 350 to 500.
+    EXPECT_EQ(Resource::acquireTogether(a, 100, b, 100, 50), 500u);
+    EXPECT_EQ(a.freeAt(), 600u);
+    EXPECT_EQ(b.freeAt(), 700u);
+    // Both calendars kept their gaps in order.
+    EXPECT_EQ(a.acquire(50, 150), 250u);
+    EXPECT_EQ(b.acquire(50, 250), 50u);
+    EXPECT_EQ(b.acquire(50, 150), 350u);
+    EXPECT_EQ(b.acquire(50, 1), 700u);
 }
 
 // ---- Differential test against the std::map calendar. ------------------
@@ -482,40 +560,59 @@ TEST(CalendarDiff, MessagePathFloorMatchesMapOracle)
     }
 }
 
+/**
+ * cpu::runJobs: the CPU with the smallest local time runs a chunk of
+ * `minOps` to `minOps + opsSpan - 1` accesses ahead of the others,
+ * after every calendar is pruned at that minimum. The others then
+ * backfill behind it. Returns the most intervals the address phase
+ * held when a chunk began.
+ */
+std::size_t
+chunkedBackfill(SplitMix64 &rng, unsigned cpus, unsigned minOps,
+                unsigned opsSpan, int chunks)
+{
+    std::vector<Tick> local(cpus, 0);
+    Twin addr;
+    std::vector<Twin> banks(4);
+    std::size_t deepest = 0;
+    for (int chunk = 0; chunk < chunks; ++chunk) {
+        const auto cpu = static_cast<std::size_t>(
+            std::min_element(local.begin(), local.end()) - local.begin());
+        EXPECT_TRUE(addr.pruneBelow(local[cpu])) << "chunk " << chunk;
+        for (Twin &b : banks)
+            EXPECT_TRUE(b.pruneBelow(local[cpu])) << "chunk " << chunk;
+        deepest = std::max(deepest, addr.flat.intervals());
+        const auto ops = minOps + static_cast<unsigned>(rng.below(opsSpan));
+        for (unsigned op = 0; op < ops; ++op) {
+            const Tick addrTicks = 10 + rng.below(30);
+            const Tick bankTicks = 20 + rng.below(80);
+            Twin &bank = banks[rng.below(banks.size())];
+            Tick a = 0;
+            Tick d = 0;
+            if (!acquireBoth(addr, local[cpu], addrTicks, a) ||
+                !acquireBoth(bank, a + addrTicks, bankTicks, d)) {
+                ADD_FAILURE() << "chunk " << chunk << " op " << op
+                              << " diverges from the map oracle";
+                return deepest;
+            }
+            local[cpu] = rng.chance(0.5) ? d + bankTicks
+                                         : local[cpu] + rng.below(60);
+        }
+    }
+    return deepest;
+}
+
 TEST(CalendarDiff, ChunkedBackfillWithRisingFloorMatchesMapOracle)
 {
-    // cpu::runJobs: the CPU with the smallest local time runs a chunk
-    // of accesses ahead of the others, after every calendar is pruned
-    // at that minimum. The others then backfill behind it.
+    // Short chunks on 2 to 8 CPUs, then the 2-CPU HINT shape: the
+    // leader reserves a long chunk (1,024 to 4,096 accesses; a HINT
+    // slice is 4,096) and the other CPU sweeps through it.
     for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
         SplitMix64 rng(seed);
         const unsigned cpus = 2 + static_cast<unsigned>(rng.below(7));
-        std::vector<Tick> local(cpus, 0);
-        Twin addr;
-        std::vector<Twin> banks(4);
-        for (int chunk = 0; chunk < 600; ++chunk) {
-            const auto cpu = static_cast<std::size_t>(
-                std::min_element(local.begin(), local.end()) -
-                local.begin());
-            ASSERT_TRUE(addr.pruneBelow(local[cpu])) << "seed " << seed;
-            for (Twin &b : banks)
-                ASSERT_TRUE(b.pruneBelow(local[cpu])) << "seed " << seed;
-            const unsigned ops = 1 + static_cast<unsigned>(rng.below(48));
-            for (unsigned op = 0; op < ops; ++op) {
-                const Tick addrTicks = 10 + rng.below(30);
-                const Tick bankTicks = 20 + rng.below(80);
-                Twin &bank = banks[rng.below(banks.size())];
-                Tick a = 0;
-                Tick d = 0;
-                ASSERT_TRUE(acquireBoth(addr, local[cpu], addrTicks, a))
-                    << "seed " << seed << " chunk " << chunk;
-                ASSERT_TRUE(
-                    acquireBoth(bank, a + addrTicks, bankTicks, d))
-                    << "seed " << seed << " chunk " << chunk;
-                local[cpu] = rng.chance(0.5) ? d + bankTicks
-                                             : local[cpu] + rng.below(60);
-            }
-        }
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        chunkedBackfill(rng, cpus, 1, 48, 600);
+        EXPECT_GE(chunkedBackfill(rng, 2, 1024, 3073, 24), 1000u);
     }
 }
 
